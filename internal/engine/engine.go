@@ -6,9 +6,8 @@
 // both promise byte-identical query results over the same ingest sequence,
 // so callers treat the choice purely as a concurrency/throughput knob.
 //
-// The interface was promoted out of internal/netsvc (which keeps a
-// deprecated alias) so that engine-generic code need not depend on the
-// network layer. Adaptation behavior is uniform by construction: both
+// The interface lives outside internal/netsvc so that engine-generic
+// code need not depend on the network layer. Adaptation behavior is uniform by construction: both
 // implementations delegate Adapt/AdaptAuto to an internal/controlplane
 // Plane, so the GRIDREDUCE → GREEDYINCREMENT wiring and its telemetry
 // exist exactly once regardless of which engine runs.

@@ -99,14 +99,21 @@ func (c *EnvConfig) fillDefaults() {
 }
 
 // Env is a shared experiment environment. Build one Env per parameter
-// sweep and run many strategies against it; the expensive pieces (network
-// generation, f calibration) amortize across runs.
+// sweep and run many policies against it. Network generation and f
+// calibration happen once, in NewEnv. The Δ⊢ reference is memoized: the
+// Env keeps the most recent run's recorded reference, and a run whose
+// reference inputs match (see referenceKey) replays it instead of
+// simulating it again.
 type Env struct {
 	Cfg   EnvConfig
 	Net   *roadnet.Network
 	Src   *trace.Source
 	Curve *fmodel.Curve
 	Space geo.Rect
+
+	// ref is the most recent run's recorded reference, nil before the
+	// first completed run.
+	ref *reference
 }
 
 // NewEnv generates the road network, the trace source, and the calibrated
@@ -232,6 +239,24 @@ func DefaultRunConfig() RunConfig {
 	}
 }
 
+// resolve fills defaults and the fields derived from the node count n:
+// QueryCount from MOverN, and WorkloadRate (zero without a workload).
+func (c *RunConfig) resolve(n int) {
+	c.fillDefaults()
+	if c.QueryCount <= 0 {
+		c.QueryCount = int(c.MOverN * float64(n))
+		if c.QueryCount < 1 {
+			c.QueryCount = 1
+		}
+	}
+	switch {
+	case c.Workload == "":
+		c.WorkloadRate = 0
+	case c.WorkloadRate <= 0:
+		c.WorkloadRate = float64(n) / 10
+	}
+}
+
 func (c *RunConfig) fillDefaults() {
 	d := DefaultRunConfig()
 	if c.Z == 0 {
@@ -337,19 +362,26 @@ func policyFor(cfg RunConfig) (controlplane.Policy, error) {
 	return pol, nil
 }
 
-// Run executes one simulation against env. The env's trace source is
-// Reset; runs against one Env are sequential, never concurrent. To execute
-// runs in parallel, give each goroutine its own Env.Fork — every other
-// piece of run state (servers, stations, nodes, collectors, RNG streams)
-// is already private to the run.
+// Run executes one simulation against env. Run resets the env's trace
+// source and updates its reference memo, so callers must not run two
+// simulations on one Env at the same time. To execute runs in parallel,
+// give each goroutine its own Env.Fork; every other piece of run state
+// (servers, stations, nodes, collectors, RNG streams) is already private
+// to the run.
+//
+// When env's memo holds the reference for cfg's reference key, the run
+// replays it and simulates the candidate alone; otherwise it simulates
+// both and records the reference as it goes. Either way the Result is
+// the same.
 func Run(env *Env, cfg RunConfig) (*Result, error) {
-	cfg.fillDefaults()
 	n := env.Cfg.Nodes
-	if cfg.QueryCount <= 0 {
-		cfg.QueryCount = int(cfg.MOverN * float64(n))
-		if cfg.QueryCount < 1 {
-			cfg.QueryCount = 1
-		}
+	cfg.resolve(n)
+	key := referenceKeyFor(env, cfg)
+	ref := env.ref
+	var rec *reference // non-nil while recording a fresh reference
+	if ref == nil || ref.key != key {
+		// Release the old record now, so a miss never holds two.
+		ref, rec, env.ref = nil, &reference{key: key}, nil
 	}
 	pol, err := policyFor(cfg)
 	if err != nil {
@@ -382,9 +414,14 @@ func Run(env *Env, cfg RunConfig) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	srvRef, err := mk(nil, 1)
-	if err != nil {
-		return nil, err
+	// The reference system exists only while recording.
+	var srvRef engine.Engine
+	var refReck []motion.DeadReckoner
+	if rec != nil {
+		if srvRef, err = mk(nil, 1); err != nil {
+			return nil, err
+		}
+		refReck = make([]motion.DeadReckoner, n)
 	}
 
 	var src traffic = env.Src
@@ -393,11 +430,7 @@ func Run(env *Env, cfg RunConfig) (*Result, error) {
 			return nil, fmt.Errorf("experiment: workload %q needs Dt = 1, env has %v",
 				cfg.Workload, env.Cfg.Dt)
 		}
-		rate := cfg.WorkloadRate
-		if rate <= 0 {
-			rate = float64(n) / 10
-		}
-		tr, err := workload.NewTraffic(cfg.Workload, env.Space, n, rate, cfg.Seed^0x117a)
+		tr, err := workload.NewTraffic(cfg.Workload, env.Space, n, cfg.WorkloadRate, cfg.Seed^0x117a)
 		if err != nil {
 			return nil, err
 		}
@@ -439,17 +472,23 @@ func Run(env *Env, cfg RunConfig) (*Result, error) {
 	}
 
 	// Queries from the warmed node distribution.
-	queries, err := workload.GenerateQueries(env.Space, src.Positions(), workload.QueryConfig{
-		Count:        cfg.QueryCount,
-		SideLength:   cfg.QuerySide,
-		Distribution: cfg.QueryDist,
-		Seed:         cfg.Seed ^ 0x5eed,
-	})
-	if err != nil {
-		return nil, err
+	var queries []geo.Rect
+	if rec != nil {
+		queries, err = workload.GenerateQueries(env.Space, src.Positions(), workload.QueryConfig{
+			Count:        cfg.QueryCount,
+			SideLength:   cfg.QuerySide,
+			Distribution: cfg.QueryDist,
+			Seed:         cfg.Seed ^ 0x5eed,
+		})
+		if err != nil {
+			return nil, err
+		}
+		rec.queries = queries
+		srvRef.RegisterQueries(queries)
+	} else {
+		queries = ref.queries
 	}
 	srvCand.RegisterQueries(queries)
-	srvRef.RegisterQueries(queries)
 
 	// Configure the shedding policy. The same instance serves every
 	// re-adaptation below, so stateful policies damp across them.
@@ -486,9 +525,8 @@ func Run(env *Env, cfg RunConfig) (*Result, error) {
 		compiled[i] = mobilenode.Compile(a)
 	}
 
-	// Mobile nodes and reference reckoners.
+	// Mobile nodes.
 	nodes := make([]*mobilenode.Node, n)
-	refReck := make([]motion.DeadReckoner, n)
 	now = float64(cfg.WarmupTicks) * dt
 	pos, vel := src.Positions(), src.Velocities()
 	res := &Result{
@@ -509,8 +547,10 @@ func Run(env *Env, cfg RunConfig) (*Result, error) {
 		}
 		rep := nodes[i].Start(pos[i], vel[i], now)
 		res.SentUpdates++
-		res.ReferenceUpdates++
-		srvRef.Apply(cqserver.Update{Node: i, Report: refReck[i].Start(pos[i], vel[i], now)})
+		if rec != nil {
+			res.ReferenceUpdates++
+			srvRef.Apply(cqserver.Update{Node: i, Report: refReck[i].Start(pos[i], vel[i], now)})
+		}
 		if out.AdmitProbability >= 1 || admitRng.Bool(out.AdmitProbability) {
 			srvCand.Apply(cqserver.Update{Node: i, Report: rep})
 			res.AdmittedUpdates++
@@ -518,6 +558,7 @@ func Run(env *Env, cfg RunConfig) (*Result, error) {
 	}
 
 	collector := metrics.NewCollector(len(queries))
+	evals := 0
 
 	// Measured interval.
 	for tick := 1; tick <= cfg.DurationTicks; tick++ {
@@ -556,9 +597,11 @@ func Run(env *Env, cfg RunConfig) (*Result, error) {
 		handoff := tick%cfg.HandoffEvery == 0
 		for i := 0; i < n; i++ {
 			// Reference system: Δ⊢ everywhere.
-			if rep, send := refReck[i].Observe(pos[i], vel[i], now, minDelta); send {
-				srvRef.Apply(cqserver.Update{Node: i, Report: rep})
-				res.ReferenceUpdates++
+			if rec != nil {
+				if rep, send := refReck[i].Observe(pos[i], vel[i], now, minDelta); send {
+					srvRef.Apply(cqserver.Update{Node: i, Report: rep})
+					res.ReferenceUpdates++
+				}
 			}
 			// Candidate system: region-dependent Δ with hand-offs.
 			nd := nodes[i]
@@ -580,18 +623,26 @@ func Run(env *Env, cfg RunConfig) (*Result, error) {
 		}
 
 		if tick%cfg.EvalEvery == 0 {
-			refResults := srvRef.Evaluate(now)
+			var rt *referenceTick
+			if rec != nil {
+				rec.ticks = append(rec.ticks, recordTick(srvRef, now, n, res.ReferenceUpdates))
+				rt = &rec.ticks[len(rec.ticks)-1]
+			} else {
+				rt = &ref.ticks[evals]
+				res.ReferenceUpdates = rt.updates
+			}
+			evals++
 			candResults := srvCand.Evaluate(now)
 			roundCE, roundN := 0.0, 0
 			for q := range queries {
-				if ce, ok := metrics.ContainmentError(candResults[q], refResults[q]); ok {
+				if ce, ok := metrics.ContainmentError(candResults[q], rt.results[q]); ok {
 					collector.RecordContainment(q, ce)
 					roundCE += ce
 					roundN++
 				}
 				pe, ok := metrics.PositionError(candResults[q],
 					func(id int) (geo.Point, bool) { return srvCand.PredictedPosition(id, now) },
-					func(id int) (geo.Point, bool) { return srvRef.PredictedPosition(id, now) },
+					func(id int) (geo.Point, bool) { return rt.pos[id], true },
 				)
 				if ok {
 					collector.RecordPosition(q, pe)
@@ -608,6 +659,12 @@ func Run(env *Env, cfg RunConfig) (*Result, error) {
 		}
 	}
 
+	if rec != nil {
+		rec.updates = res.ReferenceUpdates
+		env.ref = rec
+	} else {
+		res.ReferenceUpdates = ref.updates
+	}
 	for _, nd := range nodes {
 		res.Handoffs += nd.Handoffs
 	}

@@ -10,13 +10,14 @@ import (
 
 // Fork returns an Env that shares the immutable environment pieces — the
 // road network and the calibrated f(Δ) curve — but owns a private trace
-// source. Trajectories are a pure function of (network, trace config), so
-// the fork replays exactly the trajectories of the original; forks of one
-// Env can therefore run simulations concurrently with bit-identical
-// results.
+// source and an empty reference memo. Trajectories are a pure function of
+// (network, trace config), so the fork replays exactly the trajectories
+// of the original; forks of one Env can therefore run simulations
+// concurrently with bit-identical results.
 func (e *Env) Fork() *Env {
 	f := *e
 	f.Src = trace.NewSource(e.Net, e.Src.Config())
+	f.ref = nil
 	return &f
 }
 

@@ -79,9 +79,23 @@ func (c *Compiled) DeltaAt(p geo.Point) float64 {
 	if len(a.Regions) == 0 {
 		return a.DefaultDelta
 	}
-	cp := c.bounds.ClampPoint(p)
-	i := int((cp.X - c.bounds.MinX) / c.bounds.Width() * IndexSide)
-	j := int((cp.Y - c.bounds.MinY) / c.bounds.Height() * IndexSide)
+	// Clamp into the bounds with plain comparisons; the cell index is
+	// the one geo.Rect.ClampPoint would give, without the NaN-aware
+	// math.Min/math.Max calls.
+	b := &c.bounds
+	x, y := p.X, p.Y
+	if x < b.MinX {
+		x = b.MinX
+	} else if x > b.MaxX {
+		x = b.MaxX
+	}
+	if y < b.MinY {
+		y = b.MinY
+	} else if y > b.MaxY {
+		y = b.MaxY
+	}
+	i := int((x - b.MinX) / b.Width() * IndexSide)
+	j := int((y - b.MinY) / b.Height() * IndexSide)
 	if i >= IndexSide {
 		i = IndexSide - 1
 	}

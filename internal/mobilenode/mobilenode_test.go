@@ -47,6 +47,68 @@ func TestCompiledDeltaLookup(t *testing.T) {
 	}
 }
 
+// clampDeltaAt is DeltaAt's cell lookup written with geo.Rect.ClampPoint;
+// DeltaAt must return the same throttler for every point.
+func clampDeltaAt(c *Compiled, p geo.Point) float64 {
+	a := c.assignment
+	if len(a.Regions) == 0 {
+		return a.DefaultDelta
+	}
+	cp := c.bounds.ClampPoint(p)
+	i := int((cp.X - c.bounds.MinX) / c.bounds.Width() * IndexSide)
+	j := int((cp.Y - c.bounds.MinY) / c.bounds.Height() * IndexSide)
+	i, j = min(i, IndexSide-1), min(j, IndexSide-1)
+	for _, ri := range c.cells[j*IndexSide+i] {
+		if a.Regions[ri].Contains(p) {
+			return a.Deltas[ri]
+		}
+	}
+	for _, ri := range c.cells[j*IndexSide+i] {
+		if a.Regions[ri].ContainsClosed(p) {
+			return a.Deltas[ri]
+		}
+	}
+	return a.DefaultDelta
+}
+
+func TestDeltaAtMatchesClampedLookup(t *testing.T) {
+	for _, k := range []int{1, 3, 7} {
+		c := Compile(gridAssignment(k))
+		r := rng.New(uint64(k))
+		// Points inside, on, and outside the bounds, plus every cell edge.
+		pts := []geo.Point{{X: -1, Y: -1}, {X: 1000, Y: 1000}, {X: 2000, Y: -50}, {X: 0, Y: 1000}}
+		for e := 0; e <= IndexSide; e++ {
+			v := 1000 * float64(e) / IndexSide
+			pts = append(pts, geo.Point{X: v, Y: v}, geo.Point{X: v, Y: 1000 - v})
+		}
+		for n := 0; n < 2000; n++ {
+			pts = append(pts, geo.Point{X: r.Range(-200, 1200), Y: r.Range(-200, 1200)})
+		}
+		for _, p := range pts {
+			if got, want := c.DeltaAt(p), clampDeltaAt(c, p); got != want {
+				t.Fatalf("k=%d DeltaAt(%v) = %v, clamped lookup gives %v", k, p, got, want)
+			}
+		}
+	}
+}
+
+func BenchmarkDeltaAt(b *testing.B) {
+	c := Compile(gridAssignment(7))
+	r := rng.New(1)
+	pts := make([]geo.Point, 1024)
+	for i := range pts {
+		pts[i] = geo.Point{X: r.Range(-50, 1050), Y: r.Range(-50, 1050)}
+	}
+	b.ResetTimer()
+	sum := 0.0
+	for i := 0; i < b.N; i++ {
+		sum += c.DeltaAt(pts[i&1023])
+	}
+	if sum == 0 {
+		b.Fatal("no throttlers looked up")
+	}
+}
+
 func TestCompiledOutsidePointFallsBack(t *testing.T) {
 	a := gridAssignment(2)
 	a.DefaultDelta = 42

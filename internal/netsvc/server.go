@@ -141,7 +141,7 @@ type Server struct {
 	// eng is the evaluation engine; lockFreeIngest marks its ingest path
 	// safe for concurrent producers (sharded mode), letting update frames
 	// skip the server mutex entirely.
-	eng            Engine
+	eng            engine.Engine
 	lockFreeIngest bool
 
 	// adm is the degradation ladder (nil unless ServerConfig.Admission is
@@ -427,7 +427,7 @@ func (s *Server) Close() error {
 
 // Core exposes the evaluation engine for inspection (tests, metrics).
 // Callers must not mutate it concurrently with a running server.
-func (s *Server) Core() Engine { return s.eng }
+func (s *Server) Core() engine.Engine { return s.eng }
 
 // Sharded returns the shard count the server was deployed with: 1 for
 // the unsharded engine, K for the sharded one.

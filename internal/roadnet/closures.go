@@ -40,6 +40,7 @@ func (n *Network) WithClosures(ids []int) *Network {
 		Space: n.Space,
 		Nodes: n.Nodes, // geometry and adjacency are shared, never mutated
 		Edges: make([]Edge, len(n.Edges)),
+		dirs:  n.dirs,
 	}
 	copy(closed.Edges, n.Edges)
 	for _, id := range ids {

@@ -88,7 +88,8 @@ type Network struct {
 	Edges []Edge
 
 	totalVolume float64
-	volumeCDF   []float64 // prefix sums over Edges for O(log E) sampling
+	volumeCDF   []float64    // prefix sums over Edges for O(log E) sampling
+	dirs        []geo.Vector // unit direction per edge, fixed by geometry
 }
 
 // Config controls network generation.
@@ -268,6 +269,10 @@ func Generate(cfg Config) *Network {
 	}
 
 	net.buildCDF()
+	net.dirs = make([]geo.Vector, len(net.Edges))
+	for e, edge := range net.Edges {
+		net.dirs[e] = net.Nodes[edge.To].Pos.Sub(net.Nodes[edge.From].Pos).Unit()
+	}
 	return net
 }
 
@@ -305,10 +310,7 @@ func (n *Network) PointAlong(e int, t float64) geo.Point {
 }
 
 // Direction returns the unit direction vector of edge e.
-func (n *Network) Direction(e int) geo.Vector {
-	edge := n.Edges[e]
-	return n.Nodes[edge.To].Pos.Sub(n.Nodes[edge.From].Pos).Unit()
-}
+func (n *Network) Direction(e int) geo.Vector { return n.dirs[e] }
 
 // NextEdge picks the edge a vehicle arriving at the To node of edge e
 // continues on. Choices are weighted by volume, with a strong preference

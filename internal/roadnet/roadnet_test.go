@@ -216,6 +216,23 @@ func TestDirectionUnit(t *testing.T) {
 	}
 }
 
+// TestDirectionTableMatchesGeometry pins the precomputed direction table
+// to the geometry it caches, bit for bit, on the network and on a
+// closure clone (which shares the table).
+func TestDirectionTableMatchesGeometry(t *testing.T) {
+	n := testNet(t)
+	closed := n.WithClosures(n.TopVolumeEdges(5))
+	for e, edge := range n.Edges {
+		want := n.Nodes[edge.To].Pos.Sub(n.Nodes[edge.From].Pos).Unit()
+		if got := n.Direction(e); got != want {
+			t.Fatalf("Direction(%d) = %v, want %v", e, got, want)
+		}
+		if got := closed.Direction(e); got != want {
+			t.Fatalf("closed Direction(%d) = %v, want %v", e, got, want)
+		}
+	}
+}
+
 func TestStats(t *testing.T) {
 	n := testNet(t)
 	s := n.Stats()

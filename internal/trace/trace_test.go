@@ -196,3 +196,14 @@ func TestSetNetworkDeterministic(t *testing.T) {
 		t.Error("closing the 8 busiest roads diverted no car at all")
 	}
 }
+
+// BenchmarkSourceStep times one tick of 1500 cars; ns/op divided by 1500
+// is the per-car step cost.
+func BenchmarkSourceStep(b *testing.B) {
+	s := NewSource(testNet(), Config{N: 1500, Seed: 2})
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s.Step(1)
+	}
+}
