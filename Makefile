@@ -3,9 +3,9 @@
 
 GO ?= go
 
-.PHONY: check vet fmt-gate wiring-guard doc-gate build test race fuzz-smoke chaos bench-smoke shard-smoke policy-smoke obs-smoke obs-demo allocs-gate saturate-smoke admission-smoke spans-smoke plan-smoke measured-smoke bench-report bench-report-obs bench-report-shard bench-report-policy bench-report-saturate bench-report-admission bench-report-spans bench-report-plan bench-report-measured clean
+.PHONY: check vet fmt-gate wiring-guard doc-gate build test race fuzz-smoke chaos bench-smoke policy-smoke obs-smoke obs-demo allocs-gate saturate-smoke admission-smoke spans-smoke plan-smoke measured-smoke bench-report bench-report-obs bench-report-policy bench-report-saturate bench-report-admission bench-report-spans bench-report-plan bench-report-measured clean
 
-check: vet fmt-gate wiring-guard doc-gate build race allocs-gate fuzz-smoke chaos bench-smoke shard-smoke policy-smoke saturate-smoke obs-smoke admission-smoke spans-smoke plan-smoke measured-smoke
+check: vet fmt-gate wiring-guard doc-gate build race allocs-gate fuzz-smoke chaos bench-smoke policy-smoke saturate-smoke obs-smoke admission-smoke spans-smoke plan-smoke measured-smoke
 
 vet:
 	$(GO) vet ./...
@@ -72,11 +72,6 @@ chaos:
 bench-smoke:
 	$(GO) test -run '^$$' -bench Fig04 -benchtime 1x .
 
-# Quick sweep of the sharded engine: errors unless every K produced
-# byte-identical query results to the unsharded baseline.
-shard-smoke:
-	$(GO) run ./cmd/lirabench -shards 1,4 -nodes 400 -duration 40
-
 # One-seed run of the §4-style measured policy comparison: every registry
 # policy vs LIRA on measured E^C/E^P at equal throttle fraction, over the
 # road-network trace and a named scenario.
@@ -137,11 +132,6 @@ bench-report:
 bench-report-obs:
 	$(GO) run ./cmd/lirabench -exp fig9 -nodes 1500 -duration 300 -parallel 4 -obs -json BENCH_PR3.json
 
-# Regenerate the shard-scaling artifact (per-K timing plus the cross-K
-# result-identity verdict).
-bench-report-shard:
-	$(GO) run ./cmd/lirabench -shards 1,2,4,8 -shardjson BENCH_PR4.json
-
 # Regenerate the measured policy-comparison artifact: every registry
 # policy's measured E^C/E^P per (workload, z) — the successor of the
 # modeled-objective BENCH_PR5 table.
@@ -167,7 +157,7 @@ bench-report-admission:
 bench-report-spans:
 	$(GO) run ./cmd/lirabench -spansoverhead -spansjson BENCH_PR8.json
 
-# Regenerate the capacity-plan artifact: the default K × z × policy grid
+# Regenerate the capacity-plan artifact: the default capacity × z × policy grid
 # over the full scenario catalog against the default SLO.
 bench-report-plan:
 	$(GO) run ./cmd/liraplan -q -json BENCH_PR9.json

@@ -10,9 +10,7 @@
 //	lirabench -nodes 4000 -exp fig9
 //	lirabench -parallel 4              # 4 sweep workers, same tables
 //	lirabench -json BENCH_PR1.json     # serial-vs-parallel timing report
-//	lirabench -shards 1,2,4,8 -shardjson BENCH_PR4.json
 //	lirabench -policy -policyjson BENCH_PR10.json
-//	lirabench -exp fig9 -expshards 4   # same tables on the K=4 sharded engine
 //	lirabench -admission -admissionjson BENCH_PR7.json
 //
 // Scales: "quick" (default) runs a reduced environment in a couple of
@@ -51,8 +49,6 @@ func main() {
 		parallel = flag.Int("parallel", 0, "sweep worker count: 0 = GOMAXPROCS, 1 = serial")
 		jsonOut  = flag.String("json", "", "write a serial-vs-parallel benchmark report to this path instead of printing tables")
 		obs      = flag.Bool("obs", false, "measure telemetry overhead and print the Evaluate-latency histogram and per-stage breakdown (embedded in the -json report when both are set)")
-		shards   = flag.String("shards", "", "shard-scaling mode: comma-separated shard counts (e.g. 1,2,4,8); compares shard.Server at each K against the unsharded server on one deterministic workload")
-		shardOut = flag.String("shardjson", "", "write the shard-scaling JSON report (BENCH_PR4.json) to this path; implies nothing unless -shards is set")
 		policy   = flag.Bool("policy", false, "measured policy-comparison mode: run every canonical-registry policy (random-drop through hysteresis) through full reference-vs-candidate simulations over the road trace and a flash-crowd scenario, reporting measured E^C/E^P at equal throttle fractions")
 		polOut   = flag.String("policyjson", "", "write the measured policy-comparison JSON report (BENCH_PR10.json) to this path; implies nothing unless -policy is set")
 		saturate = flag.Bool("saturate", false, "saturation mode: ramp the offered update rate against the batched ingest hot path and report achieved throughput, p99 Evaluate latency, and GC stats per step, plus the single-core per-update-vs-batch path comparison")
@@ -60,10 +56,7 @@ func main() {
 		satBase  = flag.Float64("satbase", 100000, "saturation mode: offered rate of the first ramp step, updates/sec (doubles each step)")
 		satSteps = flag.Int("satsteps", 7, "saturation mode: ramp step count")
 		satSlice = flag.Duration("satslice", 400*time.Millisecond, "saturation mode: wall-clock slice per ramp step")
-		satK     = flag.Int("satshards", 1, "saturation mode: engine shard count")
 		satBatch = flag.Int("satbatch", 64, "saturation mode: records per wire batch")
-
-		expShards = flag.Int("expshards", 0, "figure mode: run every -exp sweep on the K-sharded engine (0 = unsharded); results are byte-identical at any K")
 
 		adm    = flag.Bool("admission", false, "admission mode: drive a seeded flash-crowd overload through the admission controller's degradation ladder and report the ladder timeline, escalation/recovery ticks, pre-ring shedding, and healthy-state overhead (on vs off)")
 		admOut = flag.String("admissionjson", "", "write the admission overload JSON report (BENCH_PR7.json) to this path; stdout when empty")
@@ -106,7 +99,7 @@ func main() {
 		if *nodes > 0 {
 			sNodes = *nodes
 		}
-		if err := runSaturate(sNodes, *satK, *satBatch, *satSteps, *satBase, *satSlice, *satOut); err != nil {
+		if err := runSaturate(sNodes, *satBatch, *satSteps, *satBase, *satSlice, *satOut); err != nil {
 			fatal(err)
 		}
 		return
@@ -126,24 +119,6 @@ func main() {
 		return
 	}
 
-	if *shards != "" {
-		ks, err := parseShardList(*shards)
-		if err != nil {
-			fatal(err)
-		}
-		sNodes, sTicks := 2000, 150
-		if *nodes > 0 {
-			sNodes = *nodes
-		}
-		if *duration > 0 {
-			sTicks = *duration
-		}
-		if err := runShardBench(ks, sNodes, sTicks, 24, *seed, *shardOut); err != nil {
-			fatal(err)
-		}
-		return
-	}
-
 	envCfg, sweep := configsFor(*scale)
 	if *nodes > 0 {
 		envCfg.Nodes = *nodes
@@ -154,12 +129,6 @@ func main() {
 	envCfg.Net.Seed = *seed
 	envCfg.TraceSeed = *seed + 1
 	sweep.Parallel = *parallel
-	// Engine selection for every figure driver: each driver copies
-	// sweep.Base, so one assignment here runs the whole -exp set at K
-	// shards (RunConfig.Shards threads it through experiment.Run).
-	if *expShards > 0 {
-		sweep.Base.Shards = *expShards
-	}
 
 	fmt.Fprintf(os.Stderr, "building environment: %d nodes, %.0f km² space, calibrating f(Δ)...\n",
 		envCfg.Nodes, spaceArea(envCfg)/1e6)

@@ -51,7 +51,6 @@ type pathComparison struct {
 type saturateReport struct {
 	Command    string         `json:"command"`
 	Nodes      int            `json:"nodes"`
-	Shards     int            `json:"shards"`
 	BatchSize  int            `json:"batch_size"`
 	SliceMS    float64        `json:"slice_ms"`
 	NumCPU     int            `json:"num_cpu"`
@@ -103,14 +102,14 @@ func encodeSatStream(nodes, records, batchSize int, seed uint64) *satEncoded {
 	return enc
 }
 
-func newSatEngine(nodes, shards int) (engine.Engine, error) {
-	eng, err := engine.New(cqserver.Config{
+func newSatEngine(nodes int) (engine.Engine, error) {
+	eng, err := cqserver.New(cqserver.Config{
 		Space:     geo.Rect{MinX: 0, MinY: 0, MaxX: 1000, MaxY: 1000},
 		Nodes:     nodes,
 		L:         13,
 		QueueSize: 1 << 16,
 		Curve:     fmodel.Hyperbolic(5, 100, 95),
-	}, shards)
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -128,20 +127,19 @@ func newSatEngine(nodes, shards int) (engine.Engine, error) {
 // the measurement thread, evaluations at a steady cadence — and report
 // throughput, p99 Evaluate latency, and GC behavior per step, then the
 // single-core per-update-vs-batch path comparison.
-func runSaturate(nodes, shards, batchSize, steps int, baseRate float64, slice time.Duration, out string) error {
+func runSaturate(nodes, batchSize, steps int, baseRate float64, slice time.Duration, out string) error {
 	enc := encodeSatStream(nodes, nodes*64, batchSize, 1)
 	rep := saturateReport{
-		Command: fmt.Sprintf("lirabench -saturate -nodes %d -satshards %d -satbase %.0f -satsteps %d -satslice %v",
-			nodes, shards, baseRate, steps, slice),
+		Command: fmt.Sprintf("lirabench -saturate -nodes %d -satbase %.0f -satsteps %d -satslice %v",
+			nodes, baseRate, steps, slice),
 		Nodes:      nodes,
-		Shards:     shards,
 		BatchSize:  batchSize,
 		SliceMS:    float64(slice) / float64(time.Millisecond),
 		NumCPU:     runtime.NumCPU(),
 		GOMAXPROCS: runtime.GOMAXPROCS(0),
 	}
 
-	eng, err := newSatEngine(nodes, shards)
+	eng, err := newSatEngine(nodes)
 	if err != nil {
 		return err
 	}
@@ -178,7 +176,7 @@ func runSaturate(nodes, shards, batchSize, steps int, baseRate float64, slice ti
 		var lat []float64
 		var m0, m1 runtime.MemStats
 		runtime.ReadMemStats(&m0)
-		shed0 := engineShed(eng)
+		shed0 := eng.Dropped()
 
 		start := time.Now()
 		deadline := start.Add(slice)
@@ -220,7 +218,7 @@ func runSaturate(nodes, shards, batchSize, steps int, baseRate float64, slice ti
 			OfferedPerSec:  offered,
 			AchievedPerSec: float64(pushed) / elapsed,
 			Evals:          len(lat),
-			Shed:           engineShed(eng) - shed0,
+			Shed:           eng.Dropped() - shed0,
 			GCCycles:       m1.NumGC - m0.NumGC,
 			GCPauseMS:      float64(m1.PauseTotalNs-m0.PauseTotalNs) / 1e6,
 			HeapAllocMB:    float64(m1.HeapAlloc) / (1 << 20),
@@ -238,7 +236,7 @@ func runSaturate(nodes, shards, batchSize, steps int, baseRate float64, slice ti
 		}
 	}
 
-	paths, err := runPathComparison(nodes, shards, enc)
+	paths, err := runPathComparison(nodes, enc)
 	if err != nil {
 		return err
 	}
@@ -273,14 +271,14 @@ func runSaturate(nodes, shards, batchSize, steps int, baseRate float64, slice ti
 // path's rate is the fastest of its full passes — the least-interference
 // estimate on a shared machine; both paths get the same treatment, so
 // neither is favored.
-func runPathComparison(nodes, shards int, enc *satEncoded) (*pathComparison, error) {
+func runPathComparison(nodes int, enc *satEncoded) (*pathComparison, error) {
 	prev := runtime.GOMAXPROCS(1)
 	defer runtime.GOMAXPROCS(prev)
 
 	const passes = 8
 	drainEvery := 1 << 12
 
-	perEng, err := newSatEngine(nodes, shards)
+	perEng, err := newSatEngine(nodes)
 	if err != nil {
 		return nil, err
 	}
@@ -312,7 +310,7 @@ func runPathComparison(nodes, shards int, enc *satEncoded) (*pathComparison, err
 		}
 	}
 
-	batchEng, err := newSatEngine(nodes, shards)
+	batchEng, err := newSatEngine(nodes)
 	if err != nil {
 		return nil, err
 	}
@@ -349,10 +347,6 @@ func runPathComparison(nodes, shards int, enc *satEncoded) (*pathComparison, err
 		Records:         enc.records * passes,
 	}, nil
 }
-
-// engineShed reads the cumulative shed count from the engine's queue
-// accounting.
-func engineShed(eng engine.Engine) int64 { return eng.Dropped() }
 
 func percentile(lat []float64, p float64) float64 {
 	if len(lat) == 0 {

@@ -9,16 +9,10 @@
 //	lirad -listen 127.0.0.1:7400 -nodes 10000 -l 250 -z 0.5 \
 //	      -http 127.0.0.1:7401
 //
-// With -shards K (K > 1) the daemon deploys the spatially sharded
-// evaluation engine: position updates enqueue onto per-shard lock-free
-// rings without touching the server mutex, and /metrics grows
-// lira_shard<N>_* gauges. Query results are byte-identical at any K.
-//
 // With -admission the daemon walks the health-driven degradation
 // ladder (healthy → warning → shed → critical) each control tick:
 // warning tightens the effective z, shed pre-rejects the oldest
-// fraction of ingest ahead of the rings and defers index compaction,
-// and critical answers queries from prediction alone. The ladder state
+// fraction of ingest ahead of the input queue, and critical answers queries from prediction alone. The ladder state
 // appears in /debug/lira under "admission" and as lira_admission_*
 // metrics; every rung change is journaled.
 //
@@ -79,7 +73,6 @@ type options struct {
 	adapt     time.Duration
 	eval      time.Duration
 	stations  float64
-	shards    int
 	admission bool
 	httpAddr  string
 	pprof     bool
@@ -111,7 +104,6 @@ func parseFlags() options {
 	flag.DurationVar(&o.adapt, "adapt", 30*time.Second, "adaptation period")
 	flag.DurationVar(&o.eval, "eval", 2*time.Second, "query evaluation period")
 	flag.Float64Var(&o.stations, "station-radius", 0, "uniform station radius; 0 = one station")
-	flag.IntVar(&o.shards, "shards", 1, "spatial shard count K (1 = unsharded engine; >1 enables lock-free sharded ingest)")
 	flag.BoolVar(&o.admission, "admission", false, "enable the health-driven admission ladder (default thresholds)")
 	flag.StringVar(&o.httpAddr, "http", "", "introspection listen address (/metrics, /debug/lira); empty disables")
 	flag.BoolVar(&o.pprof, "pprof", false, "also serve net/http/pprof on the -http address")
@@ -175,7 +167,6 @@ func start(o options) (*daemon, error) {
 			Curve:     fmodel.Hyperbolic(5, 100, 95),
 			Fairness:  o.fairness,
 		},
-		Shards:       o.shards,
 		Z:            o.z,
 		AdaptEvery:   o.adapt,
 		EvalEvery:    o.eval,
@@ -217,8 +208,8 @@ func start(o options) (*daemon, error) {
 		return nil, err
 	}
 	d.srv = srv
-	logf("lirad: serving %v (l=%d, z=%.2f, %d stations, %d shards, admission=%v)\n",
-		srv.Addr(), o.l, o.z, max(1, len(cfg.Stations)), srv.Sharded(), o.admission)
+	logf("lirad: serving %v (l=%d, z=%.2f, %d stations, admission=%v)\n",
+		srv.Addr(), o.l, o.z, max(1, len(cfg.Stations)), o.admission)
 
 	if o.httpAddr != "" {
 		ln, err := net.Listen("tcp", o.httpAddr)

@@ -14,8 +14,8 @@ import (
 )
 
 // TestDaemonGracefulShutdownNoLeaks is the goroutine-census leak gate
-// for the daemon lifecycle: boot a full lirad (sharded engine, admission
-// ladder, introspection HTTP server) on ephemeral ports, drive it with a
+// for the daemon lifecycle: boot a full lirad (admission ladder,
+// introspection HTTP server) on ephemeral ports, drive it with a
 // live node client, exercise /metrics and /debug/lira, shut down, and
 // require the goroutine census to return to baseline — no stranded
 // per-connection readers, no orphaned background loops, no HTTP serve
@@ -33,7 +33,6 @@ func TestDaemonGracefulShutdownNoLeaks(t *testing.T) {
 		queue:     128,
 		adapt:     50 * time.Millisecond,
 		eval:      20 * time.Millisecond,
-		shards:    2,
 		admission: true,
 		httpAddr:  "127.0.0.1:0",
 	})

@@ -1,5 +1,5 @@
 // Command liraplan is the deterministic capacity planner: given a fleet
-// size, a baseline report rate, and an SLO, it sweeps shard count K ×
+// size, a baseline report rate, and an SLO, it sweeps drain capacity ×
 // throttle clamp z × controlplane policy across the named scenario
 // catalog (SCENARIOS.md) and reports the cheapest configuration whose
 // worst case still meets the SLO.
@@ -11,7 +11,7 @@
 //	         -slo-p99ms 2500 -slo-inacc 8 -slo-rung warning
 //	liraplan -json BENCH_PR9.json             # also write the JSON artifact
 //	liraplan -scenarios blackout,query-churn  # restrict the catalog
-//	liraplan -ks 1,2,4,8 -zclamps 1,0.7,0.4   # widen the grid
+//	liraplan -capacity 1,2,4,8 -zclamps 1,0.7,0.4 # widen the grid
 //	liraplan -measured -slo-ec 0.02 -slo-ep 5 # SLO on measured E^C/E^P
 //
 // The default mode judges candidates against the closed-loop capacity
@@ -42,12 +42,11 @@ func main() {
 	var (
 		nodes   = flag.Int("nodes", 2000, "fleet size (mobile nodes)")
 		rate    = flag.Float64("rate", 0, "baseline aggregate report rate, updates/tick (0 = nodes/10)")
-		service = flag.Float64("service", 0, "per-shard drain capacity, updates/tick (0 = rate: one shard exactly keeps up with the baseline)")
 		side    = flag.Float64("side", 6000, "monitored square side, meters")
 		seed    = flag.Uint64("seed", 1, "scenario + thinning seed")
 		regions = flag.Int("l", 13, "shedding-region count L")
 
-		ks      = flag.String("ks", "1,2,4", "comma-separated shard counts to sweep")
+		caps    = flag.String("capacity", "1,2,4", "comma-separated drain capacities to sweep, as multiples of -rate (1 exactly keeps up with the baseline)")
 		zclamps = flag.String("zclamps", "1,0.7,0.4", "comma-separated throttle clamps to sweep")
 		pols    = flag.String("policies", "", "comma-separated controlplane policies (empty = all)")
 		scens   = flag.String("scenarios", "", "comma-separated catalog scenarios (empty = all; see SCENARIOS.md)")
@@ -76,8 +75,8 @@ func main() {
 		}
 		return
 	}
-	if err := run(*nodes, *rate, *service, *side, *seed, *regions,
-		*ks, *zclamps, *pols, *scens, *sloP99, *sloInacc, *sloRung, *jsonOut, *quiet); err != nil {
+	if err := run(*nodes, *rate, *side, *seed, *regions,
+		*caps, *zclamps, *pols, *scens, *sloP99, *sloInacc, *sloRung, *jsonOut, *quiet); err != nil {
 		fmt.Fprintln(os.Stderr, "liraplan:", err)
 		os.Exit(1)
 	}
@@ -153,8 +152,8 @@ func runMeasured(nodes int, side float64, seed uint64, regions, ticks, parallel 
 	return err
 }
 
-func run(nodes int, rate, service, side float64, seed uint64, regions int,
-	ks, zclamps, pols, scens string, sloP99, sloInacc float64, sloRung, jsonOut string, quiet bool) error {
+func run(nodes int, rate, side float64, seed uint64, regions int,
+	caps, zclamps, pols, scens string, sloP99, sloInacc float64, sloRung, jsonOut string, quiet bool) error {
 	if rate <= 0 {
 		rate = float64(nodes) / 10
 		if rate < 1 {
@@ -165,31 +164,30 @@ func run(nodes int, rate, service, side float64, seed uint64, regions int,
 	if err != nil {
 		return err
 	}
-	shards, err := parseInts(ks)
+	capacities, err := parseFloats(caps)
 	if err != nil {
-		return fmt.Errorf("-ks: %w", err)
+		return fmt.Errorf("-capacity: %w", err)
 	}
 	clamps, err := parseFloats(zclamps)
 	if err != nil {
 		return fmt.Errorf("-zclamps: %w", err)
 	}
 	cfg := plan.Config{
-		Nodes:           nodes,
-		Rate:            rate,
-		ServicePerShard: service,
-		SpaceSide:       side,
-		Seed:            seed,
-		L:               regions,
-		Shards:          shards,
-		ZClamps:         clamps,
-		Policies:        splitList(pols),
-		Scenarios:       splitList(scens),
-		Objective:       plan.SLO{P99LatencyMS: sloP99, MaxInaccuracyM: sloInacc, MaxRung: rung},
+		Nodes:      nodes,
+		Rate:       rate,
+		SpaceSide:  side,
+		Seed:       seed,
+		L:          regions,
+		Capacities: capacities,
+		ZClamps:    clamps,
+		Policies:   splitList(pols),
+		Scenarios:  splitList(scens),
+		Objective:  plan.SLO{P99LatencyMS: sloP99, MaxInaccuracyM: sloInacc, MaxRung: rung},
 	}
 	if !quiet {
 		cfg.Progress = func(done, total int, o *plan.Outcome) {
-			fmt.Fprintf(os.Stderr, "\r[%d/%d] K=%d z=%.2f %s %s        ",
-				done, total, o.Shards, o.ZClamp, o.Policy, o.Scenario)
+			fmt.Fprintf(os.Stderr, "\r[%d/%d] capacity=%g z=%.2f %s %s        ",
+				done, total, o.Capacity, o.ZClamp, o.Policy, o.Scenario)
 			if done == total {
 				fmt.Fprintln(os.Stderr)
 			}
@@ -226,18 +224,6 @@ func splitList(s string) []string {
 		}
 	}
 	return out
-}
-
-func parseInts(s string) ([]int, error) {
-	var out []int
-	for _, p := range splitList(s) {
-		v, err := strconv.Atoi(p)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, v)
-	}
-	return out, nil
 }
 
 func parseFloats(s string) ([]float64, error) {

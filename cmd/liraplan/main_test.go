@@ -13,7 +13,7 @@ func TestRunWritesArtifactAndTable(t *testing.T) {
 	dir := t.TempDir()
 	out := filepath.Join(dir, "plan.json")
 	invoke := func(path string) []byte {
-		if err := run(120, 12, 0, 6000, 3, 13,
+		if err := run(120, 12, 6000, 3, 13,
 			"1,2", "1,0.5", "lira", "blackout,query-churn",
 			5000, 12, "shed", path, true); err != nil {
 			t.Fatal(err)
@@ -36,15 +36,15 @@ func TestRunWritesArtifactAndTable(t *testing.T) {
 
 // TestRunRejectsBadFlags: parse and validation errors surface as errors.
 func TestRunRejectsBadFlags(t *testing.T) {
-	if err := run(120, 12, 0, 6000, 3, 13, "1,x", "1", "lira", "blackout",
+	if err := run(120, 12, 6000, 3, 13, "1,x", "1", "lira", "blackout",
 		5000, 12, "shed", "", true); err == nil {
-		t.Error("bad -ks accepted")
+		t.Error("bad -capacity accepted")
 	}
-	if err := run(120, 12, 0, 6000, 3, 13, "1", "1", "lira", "blackout",
+	if err := run(120, 12, 6000, 3, 13, "1", "1", "lira", "blackout",
 		5000, 12, "meltdown", "", true); err == nil {
 		t.Error("bad -slo-rung accepted")
 	}
-	if err := run(120, 12, 0, 6000, 3, 13, "1", "1", "lira", "no-such-scenario",
+	if err := run(120, 12, 6000, 3, 13, "1", "1", "lira", "no-such-scenario",
 		5000, 12, "shed", "", true); err == nil {
 		t.Error("unknown scenario accepted")
 	}

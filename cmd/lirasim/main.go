@@ -5,12 +5,7 @@
 //
 //	lirasim -strategy lira -z 0.5 -l 250
 //	lirasim -strategy random-drop -z 0.3 -nodes 4000 -dist inverse
-//	lirasim -strategy lira -shards 4
 //	lirasim -journal run.jsonl -series series.txt -timing=false
-//
-// -shards runs the candidate system on the spatially sharded engine;
-// metrics are identical to the unsharded run by the engines' determinism
-// contract.
 //
 // -journal captures the control loop's decision journal as JSONL;
 // -series prints the per-evaluation-period telemetry series as a table;
@@ -47,7 +42,6 @@ func main() {
 		w        = flag.Float64("w", 1000, "query side length parameter (meters)")
 		dist     = flag.String("dist", "proportional", "proportional | inverse | random")
 		duration = flag.Int("duration", 600, "measured ticks (1 s each)")
-		shards   = flag.Int("shards", 1, "candidate engine shard count (1 = unsharded; results identical)")
 		seed     = flag.Uint64("seed", 1, "simulation seed")
 		journal  = flag.String("journal", "", "write the decision journal to this JSONL file")
 		series   = flag.String("series", "", "write the per-period telemetry series table to this file")
@@ -91,7 +85,6 @@ func main() {
 	cfg.QuerySide = *w
 	cfg.QueryDist = qd
 	cfg.DurationTicks = *duration
-	cfg.Shards = *shards
 	cfg.Seed = *seed + 2
 
 	// Telemetry rides along whenever an output wants it. It is passive:

@@ -13,8 +13,7 @@
 //   - warning tightens the effective throttle fraction handed to the
 //     control plane (Plane.SetZClamp ∘ Controller.ClampZ);
 //   - shed additionally switches queue admission to oldest-first bulk
-//     rejection ahead of the ingest rings (AdmitN) and defers
-//     debt-triggered index compaction (Actions.SetCompactionDeferred);
+//     rejection ahead of the input queue (AdmitN);
 //   - critical forces z to the floor and answers Evaluate from prediction
 //     only (Actions.SetDegradedEval), degrading accuracy instead of
 //     availability.
@@ -54,7 +53,7 @@ const (
 	// Warning tightens the effective throttle fraction (ClampZ).
 	Warning
 	// Shed additionally pre-rejects ingest oldest-first ahead of the
-	// rings (AdmitN) and defers index compaction.
+	// input queue (AdmitN).
 	Shed
 	// Critical forces z to the floor and switches the engine to
 	// prediction-only evaluation.
@@ -140,12 +139,9 @@ func over(v, threshold, scale float64) bool {
 	return v >= threshold*scale
 }
 
-// Actions is the engine seam the shed and critical rungs act through.
-// Both evaluation engines implement it; every call is reversible.
+// Actions is the engine seam the critical rung acts through; the call is
+// reversible.
 type Actions interface {
-	// SetCompactionDeferred defers debt-triggered index compaction while
-	// set (a no-op on engines that rebuild in full each round).
-	SetCompactionDeferred(on bool)
 	// SetDegradedEval switches Evaluate to prediction-only refresh of the
 	// previous results while set (no index maintenance, no fragment
 	// scans; accuracy degrades, availability does not).
@@ -344,9 +340,6 @@ func (c *Controller) transition(from, to State) {
 	}
 	c.transitions.Add(1)
 	if a := c.cfg.Actions; a != nil {
-		if (from >= Shed) != (to >= Shed) {
-			a.SetCompactionDeferred(to >= Shed)
-		}
 		if (from >= Critical) != (to >= Critical) {
 			a.SetDegradedEval(to >= Critical)
 		}

@@ -238,8 +238,7 @@ type fakeActions struct {
 	calls []string
 }
 
-func (f *fakeActions) SetCompactionDeferred(on bool) { f.record("compact", on) }
-func (f *fakeActions) SetDegradedEval(on bool)       { f.record("degraded", on) }
+func (f *fakeActions) SetDegradedEval(on bool) { f.record("degraded", on) }
 func (f *fakeActions) record(what string, on bool) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -255,9 +254,8 @@ func (f *fakeActions) seq() []string {
 	return append([]string(nil), f.calls...)
 }
 
-// TestActionsFireAtBoundaries: compaction deferral toggles at the shed
-// boundary, degraded eval at the critical boundary — once each way, not
-// on every tick.
+// TestActionsFireAtBoundaries: degraded eval toggles at the critical
+// boundary — once each way, not on every tick.
 func TestActionsFireAtBoundaries(t *testing.T) {
 	fa := &fakeActions{}
 	cfg := fastCfg()
@@ -272,7 +270,7 @@ func TestActionsFireAtBoundaries(t *testing.T) {
 	for c.State() != Healthy {
 		c.Observe(calm)
 	}
-	want := []string{"compact=on", "degraded=on", "degraded=off", "compact=off"}
+	want := []string{"degraded=on", "degraded=off"}
 	got := fa.seq()
 	if len(got) != len(want) {
 		t.Fatalf("action sequence %v, want %v", got, want)

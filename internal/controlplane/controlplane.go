@@ -1,9 +1,8 @@
 // Package controlplane is the single home of the LIRA adaptation
 // pipeline: statistics snapshot → space partitioning → throttler setting
-// → THROTLOOP feedback. Every engine (the unsharded cqserver.Server and
-// the spatially sharded shard.Server) delegates its Adapt/AdaptAuto body
-// to a Plane, so the GRIDREDUCE → GREEDYINCREMENT wiring — and its
-// telemetry — exists exactly once in the codebase.
+// → THROTLOOP feedback. The engine (cqserver.Server) delegates its
+// Adapt/AdaptAuto body to a Plane, so the GRIDREDUCE → GREEDYINCREMENT
+// wiring — and its telemetry — exists exactly once in the codebase.
 //
 // The partitioning/assignment stages are pluggable through Policy. The
 // paper's region-aware LIRA policy is the default; the §4-style baselines
@@ -15,9 +14,8 @@
 // server: a StatsSource supplying the statistics grid to partition and a
 // RateSource supplying the (λ, μ) window measurements THROTLOOP feeds on.
 // The pipeline itself is deterministic — identical grid contents and z
-// produce bit-identical Δᵢ tables — so swapping engines under a Plane
-// never changes its decisions. Telemetry is passive and optional, exactly
-// as in the engines (see the telemetry package's contract).
+// produce bit-identical Δᵢ tables. Telemetry is passive and optional,
+// exactly as in the engine (see the telemetry package's contract).
 package controlplane
 
 import (
@@ -50,16 +48,15 @@ type Env struct {
 	ProtectQueries float64
 }
 
-// StatsSource supplies the statistics grid an adaptation partitions. The
-// unsharded server returns its private grid; the sharded server returns
-// the merge of its per-shard grids.
+// StatsSource supplies the statistics grid an adaptation partitions: the
+// server's own grid. It is an interface so that this package need not
+// import the server that embeds it.
 type StatsSource interface {
 	StatsGrid() *statgrid.Grid
 }
 
 // RateSource supplies the (λ, μ) window measurement THROTLOOP feeds on,
-// resetting the window. The unsharded server's bounded queue and the
-// sharded server's summed ring counters both satisfy it.
+// resetting the window. The server's bounded input queue satisfies it.
 type RateSource interface {
 	Rates(window float64) (lambda, mu float64)
 }

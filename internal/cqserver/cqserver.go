@@ -223,13 +223,9 @@ func New(cfg Config) (*Server, error) {
 	return s, nil
 }
 
-// Grid exposes the statistics grid (read-mostly; the experiment harness
-// feeds it samples).
-func (s *Server) Grid() *statgrid.Grid { return s.grid }
-
-// StatsGrid implements controlplane.StatsSource: the grid an adaptation
-// partitions. It is the same grid Grid returns; the second name exists so
-// both engines satisfy the control plane with one spelling.
+// StatsGrid exposes the statistics grid (read-mostly; the experiment
+// harness feeds it samples). It implements controlplane.StatsSource: the
+// grid an adaptation partitions.
 func (s *Server) StatsGrid() *statgrid.Grid { return s.grid }
 
 // Table exposes the server's motion table.
@@ -334,11 +330,10 @@ func (s *Server) ObserveStatistics(positions []geo.Point, speeds []float64) {
 // order; the backing arrays are reused across calls, so callers must copy
 // what they keep.
 //
-// Ascending node-id order is the canonical result order shared by every
-// LIRA evaluator: it is independent of the index structure's internal
-// layout, which is what lets the sharded server (internal/shard) promise
-// results byte-identical to this one at any shard count, and the
-// incremental index reuse buckets freely.
+// Ascending node-id order is the canonical result order: it is
+// independent of the index structure's internal layout, so the
+// degraded path and the differential oracles can compare results
+// directly.
 //
 // The prediction pass is chunked across goroutines, and the per-query
 // index scans run concurrently over the rebuilt CSR grid (which is
@@ -415,12 +410,6 @@ func (s *Server) scanRange(_, lo, hi int) {
 // evaluateDegraded). Single-caller, like Evaluate.
 func (s *Server) SetDegradedEval(on bool) { s.degradedEval = on }
 
-// SetCompactionDeferred is a no-op on the unsharded server: its index is
-// rebuilt in full every evaluation round, so there is no compaction debt
-// to defer. It exists so both engines expose the admission ladder's shed
-// seam.
-func (s *Server) SetCompactionDeferred(bool) {}
-
 // evaluateDegraded is the critical-rung Evaluate: each query's previous
 // members are re-tested against the query rect at their dead-reckoned
 // positions — departures drop out, but no index rebuild and no scans run,
@@ -429,8 +418,7 @@ func (s *Server) SetCompactionDeferred(bool) {}
 // The containment test (clamped prediction, closed rect) matches the
 // index scan's exactly, and ascending id order is preserved by in-place
 // filtering, so the path answers bit-identically to a full evaluation
-// whenever no node entered a query since the last normal round — and both
-// engines produce identical degraded results over the same prior results.
+// whenever no node entered a query since the last normal round.
 func (s *Server) evaluateDegraded(now float64) [][]int {
 	var t0 time.Time
 	if s.tel != nil {
@@ -561,42 +549,3 @@ func (s *Server) Dropped() int64 { return s.input.Dropped() }
 // ObserveBusy accumulates busy time into the current rate window; see
 // queue.Bounded.ObserveBusy.
 func (s *Server) ObserveBusy(busy float64) { s.input.ObserveBusy(busy) }
-
-// ConcurrentIngest reports whether Ingest/IngestShedOldest may be called
-// from concurrent producers. The unsharded server's bounded queue is
-// single-writer, so callers must serialize ingest.
-func (s *Server) ConcurrentIngest() bool { return false }
-
-// EngineInfo is a point-in-time engine snapshot for introspection
-// endpoints and operator tooling. Both engines report the same shape.
-type EngineInfo struct {
-	// Engine is the implementation name: "cqserver" or "shard".
-	Engine string `json:"engine"`
-	// Shards is the shard count (1 for the unsharded server).
-	Shards int `json:"shards"`
-	// QueueLen and QueueCap describe the input queue (summed/min across
-	// shards when sharded).
-	QueueLen int `json:"queue_len"`
-	QueueCap int `json:"queue_cap"`
-	// Dropped and Applied count shed and integrated updates.
-	Dropped int64 `json:"dropped"`
-	Applied int64 `json:"applied"`
-	// Queries is the number of registered continuous queries.
-	Queries int `json:"queries"`
-	// Z is the current throttle fraction.
-	Z float64 `json:"z"`
-}
-
-// Introspect returns a point-in-time engine snapshot.
-func (s *Server) Introspect() EngineInfo {
-	return EngineInfo{
-		Engine:   "cqserver",
-		Shards:   1,
-		QueueLen: s.input.Len(),
-		QueueCap: s.input.Cap(),
-		Dropped:  s.input.Dropped(),
-		Applied:  s.applied,
-		Queries:  len(s.queries),
-		Z:        s.plane.Throttle().Z(),
-	}
-}

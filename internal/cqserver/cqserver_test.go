@@ -235,7 +235,7 @@ func TestHistoryCapture(t *testing.T) {
 
 func TestAccessors(t *testing.T) {
 	s := testServer(t)
-	if s.Grid() == nil || s.Throttle() == nil {
+	if s.StatsGrid() == nil || s.Throttle() == nil {
 		t.Error("accessors returned nil")
 	}
 	s.RegisterQueries([]geo.Rect{space()})

@@ -13,7 +13,6 @@ import (
 	"lira/internal/partition"
 	"lira/internal/queue"
 	"lira/internal/rng"
-	"lira/internal/shard"
 	"lira/internal/statgrid"
 	"lira/internal/throtloop"
 	"lira/internal/throttler"
@@ -134,16 +133,7 @@ func newLegacyPipeline(t *testing.T, eng engine.Engine, cfg cqserver.Config) *le
 	if err != nil {
 		t.Fatal(err)
 	}
-	lp := &legacyPipeline{cfg: cfg, loop: loop, grid: eng.StatsGrid}
-	switch s := eng.(type) {
-	case *cqserver.Server:
-		lp.rates = s.Queue().Rates
-	case *shard.Server:
-		lp.rates = s.Rates
-	default:
-		t.Fatalf("unknown engine type %T", eng)
-	}
-	return lp
+	return &legacyPipeline{cfg: cfg, loop: loop, rates: eng.Queue().Rates, grid: eng.StatsGrid}
 }
 
 func (lp *legacyPipeline) adaptAuto(window float64) (float64, *throttler.Result, error) {
@@ -164,7 +154,7 @@ func (lp *legacyPipeline) adaptAuto(window float64) (float64, *throttler.Result,
 }
 
 // TestControlPlaneMatchesLegacyPipeline is the refactor-equivalence
-// suite: for each seed and each engine kind, two identically-fed engines
+// suite: for each seed, two identically-fed engines
 // adapt side by side — one through the post-refactor control plane
 // (AdaptAuto), one through the hand-wired pre-refactor pipeline — and
 // every adaptation round's z, Δᵢ table, and BudgetMet must be
@@ -177,142 +167,83 @@ func TestControlPlaneMatchesLegacyPipeline(t *testing.T) {
 		window = float64(every)
 	)
 	for _, seed := range []uint64{1, 2, 3} {
-		for _, shards := range []int{1, 4} {
-			cfg := baseConfig()
-			cand, err := engine.New(cfg, shards)
+		cfg := baseConfig()
+		cand, err := engine.New(cfg, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref, err := engine.New(cfg, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		legacy := newLegacyPipeline(t, ref, cfg)
+		qs := testQueries(rng.New(seed).Split(99))
+		cand.RegisterQueries(qs)
+		ref.RegisterQueries(qs)
+		w := newWorkload(seed, nodes)
+		var rounds int
+		for tick := 1; tick <= ticks; tick++ {
+			now := float64(tick)
+			for _, u := range w.step(now) {
+				if !cand.Ingest(u) || !ref.Ingest(u) {
+					t.Fatalf("seed %d: overflow in no-overflow regime", seed)
+				}
+			}
+			cand.Drain(-1)
+			ref.Drain(-1)
+			cand.ObserveStatistics(w.pos, w.speeds)
+			ref.ObserveStatistics(w.pos, w.speeds)
+			cand.ObserveBusy(0.5)
+			ref.ObserveBusy(0.5)
+			if !equalResults(cand.Evaluate(now), ref.Evaluate(now)) {
+				t.Fatalf("seed %d tick %d: query results diverged",
+					seed, tick)
+			}
+			if tick%every != 0 {
+				continue
+			}
+			rounds++
+			ca, err := cand.AdaptAuto(window)
 			if err != nil {
 				t.Fatal(err)
 			}
-			ref, err := engine.New(cfg, shards)
+			lz, lres, err := legacy.adaptAuto(window)
 			if err != nil {
 				t.Fatal(err)
 			}
-			legacy := newLegacyPipeline(t, ref, cfg)
-			qs := testQueries(rng.New(seed).Split(99))
-			cand.RegisterQueries(qs)
-			ref.RegisterQueries(qs)
-			w := newWorkload(seed, nodes)
-			var rounds int
-			for tick := 1; tick <= ticks; tick++ {
-				now := float64(tick)
-				for _, u := range w.step(now) {
-					if !cand.Ingest(u) || !ref.Ingest(u) {
-						t.Fatalf("seed %d shards %d: overflow in no-overflow regime", seed, shards)
-					}
-				}
-				cand.Drain(-1)
-				ref.Drain(-1)
-				cand.ObserveStatistics(w.pos, w.speeds)
-				ref.ObserveStatistics(w.pos, w.speeds)
-				cand.ObserveBusy(0.5)
-				ref.ObserveBusy(0.5)
-				if !equalResults(cand.Evaluate(now), ref.Evaluate(now)) {
-					t.Fatalf("seed %d shards %d tick %d: query results diverged",
-						seed, shards, tick)
-				}
-				if tick%every != 0 {
-					continue
-				}
-				rounds++
-				ca, err := cand.AdaptAuto(window)
-				if err != nil {
-					t.Fatal(err)
-				}
-				lz, lres, err := legacy.adaptAuto(window)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if ca.Z != lz {
-					t.Fatalf("seed %d shards %d round %d: z diverged: plane %v, legacy %v",
-						seed, shards, rounds, ca.Z, lz)
-				}
-				if ca.Z != cand.Throttle().Z() {
-					t.Fatalf("seed %d shards %d round %d: adaptation z %v != controller z %v",
-						seed, shards, rounds, ca.Z, cand.Throttle().Z())
-				}
-				if len(ca.Deltas) != len(lres.Deltas) {
-					t.Fatalf("seed %d shards %d round %d: region count diverged: %d vs %d",
-						seed, shards, rounds, len(ca.Deltas), len(lres.Deltas))
-				}
-				for i := range ca.Deltas {
-					if ca.Deltas[i] != lres.Deltas[i] {
-						t.Fatalf("seed %d shards %d round %d: Δ[%d] diverged: plane %v, legacy %v",
-							seed, shards, rounds, i, ca.Deltas[i], lres.Deltas[i])
-					}
-				}
-				if ca.BudgetMet != lres.BudgetMet {
-					t.Fatalf("seed %d shards %d round %d: BudgetMet diverged", seed, shards, rounds)
+			if ca.Z != lz {
+				t.Fatalf("seed %d round %d: z diverged: plane %v, legacy %v",
+					seed, rounds, ca.Z, lz)
+			}
+			if ca.Z != cand.Throttle().Z() {
+				t.Fatalf("seed %d round %d: adaptation z %v != controller z %v",
+					seed, rounds, ca.Z, cand.Throttle().Z())
+			}
+			if len(ca.Deltas) != len(lres.Deltas) {
+				t.Fatalf("seed %d round %d: region count diverged: %d vs %d",
+					seed, rounds, len(ca.Deltas), len(lres.Deltas))
+			}
+			for i := range ca.Deltas {
+				if ca.Deltas[i] != lres.Deltas[i] {
+					t.Fatalf("seed %d round %d: Δ[%d] diverged: plane %v, legacy %v",
+						seed, rounds, i, ca.Deltas[i], lres.Deltas[i])
 				}
 			}
-			if rounds != ticks/every {
-				t.Fatalf("expected %d adaptation rounds, ran %d", ticks/every, rounds)
+			if ca.BudgetMet != lres.BudgetMet {
+				t.Fatalf("seed %d round %d: BudgetMet diverged", seed, rounds)
 			}
+		}
+		if rounds != ticks/every {
+			t.Fatalf("expected %d adaptation rounds, ran %d", ticks/every, rounds)
 		}
 	}
 }
 
-// TestShardK1MatchesCqserver re-pins the factory-level K=1 ≡ unsharded
-// claim through the engine abstraction: a shard.Server forced to one
-// shard and a cqserver.Server fed the identical stream produce identical
-// query results, z trajectories, and Δᵢ tables.
-func TestShardK1MatchesCqserver(t *testing.T) {
-	const nodes, ticks = 120, 20
-	cfg := baseConfig()
-	un, err := engine.New(cfg, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sh, err := shard.New(shard.Config{Core: cfg, Shards: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	qs := testQueries(rng.New(11).Split(99))
-	un.RegisterQueries(qs)
-	sh.RegisterQueries(qs)
-	w := newWorkload(11, nodes)
-	for tick := 1; tick <= ticks; tick++ {
-		now := float64(tick)
-		for _, u := range w.step(now) {
-			if !un.Ingest(u) || !sh.Ingest(u) {
-				t.Fatalf("overflow at tick %d", tick)
-			}
-		}
-		un.Drain(-1)
-		sh.Drain(-1)
-		un.ObserveStatistics(w.pos, w.speeds)
-		sh.ObserveStatistics(w.pos, w.speeds)
-		un.ObserveBusy(0.5)
-		sh.ObserveBusy(0.5)
-		if !equalResults(un.Evaluate(now), sh.Evaluate(now)) {
-			t.Fatalf("tick %d: query results diverged", tick)
-		}
-	}
-	ua, err := un.AdaptAuto(float64(ticks))
-	if err != nil {
-		t.Fatal(err)
-	}
-	sa, err := sh.AdaptAuto(float64(ticks))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ua.Z != sa.Z {
-		t.Fatalf("z diverged: unsharded %v, K=1 %v", ua.Z, sa.Z)
-	}
-	if len(ua.Deltas) != len(sa.Deltas) {
-		t.Fatalf("region count diverged: %d vs %d", len(ua.Deltas), len(sa.Deltas))
-	}
-	for i := range ua.Deltas {
-		if ua.Deltas[i] != sa.Deltas[i] {
-			t.Fatalf("Δ[%d] diverged: %v vs %v", i, ua.Deltas[i], sa.Deltas[i])
-		}
-	}
-}
-
-// TestPoliciesAgreeAcrossEngines pins engine-independence of the policy
-// layer: after identical warmup, every built-in policy produces the same
-// partitioning size and bit-identical Δᵢ on the unsharded and the
-// sharded engine — the property that makes baseline comparisons on one
-// engine transfer to the other.
+// TestPoliciesAgreeAcrossEngines pins that a policy's output is a pure
+// function of the engine state: after identical warmup, every built-in
+// policy produces the same partitioning size and bit-identical Δᵢ on two
+// independent engine instances, each with its own policy instance, so
+// no policy state leaks between engines.
 func TestPoliciesAgreeAcrossEngines(t *testing.T) {
 	const nodes, ticks = 120, 15
 	cfg := baseConfig()
@@ -328,79 +259,95 @@ func TestPoliciesAgreeAcrossEngines(t *testing.T) {
 			eng.ObserveStatistics(w.pos, w.speeds)
 		}
 	}
-	un, err := engine.New(cfg, 1)
+	a, err := engine.New(cfg, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sh, err := engine.New(cfg, 4)
+	b, err := engine.New(cfg, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	warm(un)
-	warm(sh)
+	warm(a)
+	warm(b)
 	for _, pol := range controlplane.Policies() {
 		// Stateful policies (hysteresis) must not be shared between
 		// engines: give each its own instance so held state from one
 		// engine's adaptations cannot leak into the other's.
-		upol, _ := controlplane.NewPolicy(pol.Name())
-		spol, _ := controlplane.NewPolicy(pol.Name())
-		un.ControlPlane().SetPolicy(upol)
-		sh.ControlPlane().SetPolicy(spol)
+		apol, _ := controlplane.NewPolicy(pol.Name())
+		bpol, _ := controlplane.NewPolicy(pol.Name())
+		a.ControlPlane().SetPolicy(apol)
+		b.ControlPlane().SetPolicy(bpol)
 		for _, z := range []float64{0.7, 0.4} {
-			ua, err := un.Adapt(z)
+			aa, err := a.Adapt(z)
 			if err != nil {
-				t.Fatalf("%s unsharded: %v", pol.Name(), err)
+				t.Fatalf("%s engine a: %v", pol.Name(), err)
 			}
-			sa, err := sh.Adapt(z)
+			ba, err := b.Adapt(z)
 			if err != nil {
-				t.Fatalf("%s sharded: %v", pol.Name(), err)
+				t.Fatalf("%s engine b: %v", pol.Name(), err)
 			}
-			if len(ua.Deltas) != len(sa.Deltas) {
+			if len(aa.Deltas) != len(ba.Deltas) {
 				t.Fatalf("%s z=%.1f: region count diverged: %d vs %d",
-					pol.Name(), z, len(ua.Deltas), len(sa.Deltas))
+					pol.Name(), z, len(aa.Deltas), len(ba.Deltas))
 			}
-			for i := range ua.Deltas {
-				if ua.Deltas[i] != sa.Deltas[i] {
+			for i := range aa.Deltas {
+				if aa.Deltas[i] != ba.Deltas[i] {
 					t.Fatalf("%s z=%.1f: Δ[%d] diverged: %v vs %v",
-						pol.Name(), z, i, ua.Deltas[i], sa.Deltas[i])
+						pol.Name(), z, i, aa.Deltas[i], ba.Deltas[i])
 				}
 			}
-			if ua.BudgetMet != sa.BudgetMet {
+			if aa.BudgetMet != ba.BudgetMet {
 				t.Fatalf("%s z=%.1f: BudgetMet diverged", pol.Name(), z)
 			}
 		}
 	}
 }
 
-// TestFactorySelection pins the engine.New contract: the shard count
-// selects the implementation, and each implementation reports its
-// concurrency class and introspection identity correctly.
+// TestFactorySelection pins what engine.New builds for the shard counts
+// it accepts (0 and 1): the engine cqserver.New builds from the same
+// config, defaults included, evaluating the same workload to the same
+// results.
 func TestFactorySelection(t *testing.T) {
 	cfg := baseConfig()
-	un, err := engine.New(cfg, 1)
-	if err != nil {
-		t.Fatal(err)
+	for _, shards := range []int{0, 1} {
+		eng, err := engine.New(cfg, shards)
+		if err != nil {
+			t.Fatalf("shards=%d: %v", shards, err)
+		}
+		direct, err := cqserver.New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if eng.QueueCap() != direct.QueueCap() {
+			t.Fatalf("shards=%d: queue cap %d, cqserver.New %d", shards, eng.QueueCap(), direct.QueueCap())
+		}
+		qs := testQueries(rng.New(5).Split(99))
+		eng.RegisterQueries(qs)
+		direct.RegisterQueries(qs)
+		w := newWorkload(5, 60)
+		for tick := 1; tick <= 5; tick++ {
+			now := float64(tick)
+			for _, u := range w.step(now) {
+				eng.Ingest(u)
+				direct.Ingest(u)
+			}
+			eng.Drain(-1)
+			direct.Drain(-1)
+			if !equalResults(eng.Evaluate(now), direct.Evaluate(now)) {
+				t.Fatalf("shards=%d tick %d: engine.New diverged from cqserver.New", shards, tick)
+			}
+		}
 	}
-	if _, ok := un.(*cqserver.Server); !ok {
-		t.Fatalf("shards=1: want *cqserver.Server, got %T", un)
-	}
-	if un.ConcurrentIngest() {
-		t.Fatal("cqserver must report single-producer ingest")
-	}
-	if info := un.Introspect(); info.Engine != "cqserver" || info.Shards != 1 {
-		t.Fatalf("unexpected unsharded introspection: %+v", info)
-	}
-	sh, err := engine.New(cfg, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := sh.(*shard.Server); !ok {
-		t.Fatalf("shards=4: want *shard.Server, got %T", sh)
-	}
-	if !sh.ConcurrentIngest() {
-		t.Fatal("shard must report concurrent-safe ingest")
-	}
-	if info := sh.Introspect(); info.Engine != "shard" || info.Shards != 4 {
-		t.Fatalf("unexpected sharded introspection: %+v", info)
+}
+
+// TestNewRejectsShards pins the one-engine contract: the shard count
+// engine.New still takes selects nothing, and any count above 1 is an
+// error rather than a silently unsharded engine.
+func TestNewRejectsShards(t *testing.T) {
+	cfg := baseConfig()
+	for _, shards := range []int{2, 4} {
+		if eng, err := engine.New(cfg, shards); err == nil || eng != nil {
+			t.Fatalf("shards=%d: got engine %v, err %v; want an error", shards, eng, err)
+		}
 	}
 }

@@ -1,142 +1,32 @@
-// Package engine defines the neutral CQ-engine abstraction every layer
-// above the servers programs against: the network service, the experiment
-// harness, the simulators, and the benchmark drivers all accept an Engine
-// instead of a concrete server type. Two implementations exist — the
-// unsharded cqserver.Server and the spatially sharded shard.Server — and
-// both promise byte-identical query results over the same ingest sequence,
-// so callers treat the choice purely as a concurrency/throughput knob.
+// Package engine names the CQ engine every layer above the server
+// programs against: the network service, the experiment harness, the
+// simulators, and the benchmark drivers all accept an Engine. There is
+// one engine, cqserver.Server — the paper's single evaluator behind one
+// M/M/1 input queue, whose utilisation THROTLOOP reads. DESIGN.md §5e
+// records the measurement that ruled out a spatially sharded engine.
 //
-// The interface lives outside internal/netsvc so that engine-generic
-// code need not depend on the network layer. Adaptation behavior is uniform by construction: both
-// implementations delegate Adapt/AdaptAuto to an internal/controlplane
-// Plane, so the GRIDREDUCE → GREEDYINCREMENT wiring and its telemetry
-// exist exactly once regardless of which engine runs.
+// The package lives outside internal/netsvc so that engine-level code need
+// not depend on the network layer.
 package engine
 
 import (
-	"lira/internal/controlplane"
+	"fmt"
+
 	"lira/internal/cqserver"
-	"lira/internal/geo"
-	"lira/internal/history"
-	"lira/internal/motion"
-	"lira/internal/shard"
-	"lira/internal/statgrid"
-	"lira/internal/throtloop"
 )
 
-// Info is a point-in-time engine snapshot for introspection endpoints and
-// operator tooling; both engines report the same shape.
-type Info = cqserver.EngineInfo
+// Engine is the mobile CQ evaluation engine: ingest, drain, evaluate, and
+// the LIRA adaptation loop. Every method is single-caller (the owner's
+// drive loop, or callers serialized by the owner's mutex).
+type Engine = *cqserver.Server
 
-// Engine is a mobile CQ evaluation engine: ingest, drain, evaluate, and
-// the LIRA adaptation loop. Methods other than Ingest/IngestShedOldest
-// are single-caller (the owner's drive loop); whether ingest tolerates
-// concurrent producers is reported by ConcurrentIngest.
-type Engine interface {
-	// RegisterQueries replaces the registered continuous range queries.
-	RegisterQueries(qs []geo.Rect)
-	// Queries returns the registered queries.
-	Queries() []geo.Rect
-
-	// Ingest offers an update; a full queue drops it (drop-newest).
-	Ingest(u cqserver.Update) bool
-	// IngestShedOldest enqueues an update, shedding the oldest on
-	// overflow; the flag reports whether a shed happened.
-	IngestShedOldest(u cqserver.Update) bool
-	// IngestShedOldestBatch enqueues a slice of updates in arrival order
-	// under the shed-oldest policy and returns how many were shed. A
-	// batch of n counts exactly n arrivals — identical to n
-	// IngestShedOldest calls — but admission is vectored, which is what
-	// the batched wire format feeds.
-	IngestShedOldestBatch(us []cqserver.Update) int
-	// IngestShedOldestColumns is the columnar variant of
-	// IngestShedOldestBatch: records arrive as the parallel column
-	// slices a decoded wire batch already holds (all equal length), so
-	// survivors scatter straight into ring slots with no intermediate
-	// contiguous staging.
-	IngestShedOldestColumns(nodes []uint32, xs, ys, vxs, vys, times []float64) int
-	// ConcurrentIngest reports whether Ingest/IngestShedOldest are safe
-	// for concurrent producers.
-	ConcurrentIngest() bool
-	// Apply installs an update directly, bypassing the queue (the
-	// harness's infinitely provisioned reference path).
-	Apply(u cqserver.Update)
-	// Drain applies up to limit queued updates (negative: all).
-	Drain(limit int) int
-
-	// Evaluate re-evaluates every query at time now, ids ascending.
-	Evaluate(now float64) [][]int
-	// SetDegradedEval switches Evaluate to prediction-only mode while on
-	// (the admission ladder's critical rung): each query's previous
-	// members are refreshed by dead reckoning and departures dropped, but
-	// no index maintenance or fragment scans run and no new entrants are
-	// discovered — accuracy degrades, availability does not. Reversible;
-	// both engines produce identical degraded results over the same prior
-	// results. Single-caller, like Evaluate.
-	SetDegradedEval(on bool)
-	// SetCompactionDeferred defers debt-triggered index compaction while
-	// on (the admission ladder's shed rung). A no-op on engines that
-	// rebuild their index in full each round. Safe to call concurrently
-	// with Evaluate's readers.
-	SetCompactionDeferred(on bool)
-	// PredictedPosition returns the engine's belief about a node.
-	PredictedPosition(id int, now float64) (geo.Point, bool)
-
-	// ObserveStatistics folds one sampling round into the statistics grid.
-	ObserveStatistics(positions []geo.Point, speeds []float64)
-	// ObserveBusy accumulates busy time into the current rate window.
-	ObserveBusy(busy float64)
-	// StatsGrid returns the grid an adaptation partitions (the merged
-	// view when sharded). It implements controlplane.StatsSource.
-	StatsGrid() *statgrid.Grid
-
-	// Adapt runs one adaptation cycle at throttle fraction z.
-	Adapt(z float64) (*controlplane.Adaptation, error)
-	// AdaptAuto measures the window, steps THROTLOOP, and adapts.
-	AdaptAuto(window float64) (*controlplane.Adaptation, error)
-	// ControlPlane exposes the engine's control plane (policy swaps).
-	ControlPlane() *controlplane.Plane
-	// Throttle exposes the THROTLOOP controller.
-	Throttle() *throtloop.Controller
-
-	// Table exposes the motion table.
-	Table() *motion.Table
-	// History returns the report history store, or nil when disabled.
-	History() *history.Store
-	// Applied returns the number of updates integrated so far.
-	Applied() int64
-	// Arrived returns the number of updates offered to the input queue(s)
-	// so far (admitted or shed). Together with Applied, Dropped, and
-	// QueueLen it carries the engine's record-conservation invariant:
-	// at quiescence Arrived == Applied + Dropped + QueueLen, provided
-	// every record entered through the queue (Apply bypasses it and
-	// counts only toward Applied).
-	Arrived() int64
-	// QueueLen and QueueCap describe the input queue, and Dropped counts
-	// updates shed or rejected on overflow (each summed across shards
-	// when sharded).
-	QueueLen() int
-	QueueCap() int
-	Dropped() int64
-
-	// Introspect returns a point-in-time engine snapshot.
-	Introspect() Info
-}
-
-// Interface conformance: both servers are Engines.
-var (
-	_ Engine = (*cqserver.Server)(nil)
-	_ Engine = (*shard.Server)(nil)
-)
-
-// New builds the engine selected by shards: the spatially sharded server
-// for shards > 1, the unsharded server otherwise. cfg is interpreted
-// exactly as cqserver.New interprets it (defaults included); when sharded
-// it becomes shard.Config.Core, with cfg.QueueSize split across the shard
-// rings.
+// New builds the engine for cfg, interpreted exactly as cqserver.New
+// interprets it (defaults included). shards is kept for signature
+// compatibility with existing callers: 0 and 1 are accepted, and any
+// larger count is an error.
 func New(cfg cqserver.Config, shards int) (Engine, error) {
 	if shards > 1 {
-		return shard.New(shard.Config{Core: cfg, Shards: shards})
+		return nil, fmt.Errorf("engine: shard count %d: only the unsharded engine exists", shards)
 	}
 	return cqserver.New(cfg)
 }

@@ -199,12 +199,6 @@ type RunConfig struct {
 	// ProtectQueries enables the query-protective drill-down extension
 	// for the Lira strategy; 0 is the paper's exact algorithm.
 	ProtectQueries float64
-	// Shards selects the candidate evaluation engine via engine.New:
-	// values above 1 run the spatially sharded engine with that many
-	// shard cells; 0 and 1 run the unsharded server. Query results are
-	// byte-identical either way, so sharding never changes a Result —
-	// it exercises the same simulation through the concurrent engine.
-	Shards int
 	// StationRadius selects uniform station placement with that coverage
 	// radius; 0 selects the density-aware placement.
 	StationRadius float64
@@ -393,12 +387,9 @@ func Run(env *Env, cfg RunConfig) (*Result, error) {
 	// Candidate engine (owns the statistics grid and adaptation); the
 	// reference server only evaluates queries over its own motion table.
 	// Telemetry observes the candidate only — the reference models an
-	// infinitely provisioned system nobody needs to debug. The candidate
-	// runs whichever engine cfg.Shards selects; the reference stays
-	// unsharded (both engines evaluate byte-identically, so the cheaper
-	// one serves as ground truth either way).
-	mk := func(hub *telemetry.Hub, shards int) (engine.Engine, error) {
-		return engine.New(cqserver.Config{
+	// infinitely provisioned system nobody needs to debug.
+	mk := func(hub *telemetry.Hub) (engine.Engine, error) {
+		return cqserver.New(cqserver.Config{
 			Space:          env.Space,
 			Nodes:          n,
 			Alpha:          cfg.Alpha,
@@ -408,9 +399,9 @@ func Run(env *Env, cfg RunConfig) (*Result, error) {
 			UseSpeed:       cfg.UseSpeed,
 			ProtectQueries: cfg.ProtectQueries,
 			Telemetry:      hub,
-		}, shards)
+		})
 	}
-	srvCand, err := mk(cfg.Telemetry, cfg.Shards)
+	srvCand, err := mk(cfg.Telemetry)
 	if err != nil {
 		return nil, err
 	}
@@ -418,7 +409,7 @@ func Run(env *Env, cfg RunConfig) (*Result, error) {
 	var srvRef engine.Engine
 	var refReck []motion.DeadReckoner
 	if rec != nil {
-		if srvRef, err = mk(nil, 1); err != nil {
+		if srvRef, err = mk(nil); err != nil {
 			return nil, err
 		}
 		refReck = make([]motion.DeadReckoner, n)

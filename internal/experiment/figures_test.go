@@ -245,31 +245,3 @@ func TestRunAvgContainmentAverages(t *testing.T) {
 		t.Errorf("repeats=0 should equal repeats=1: %v vs %v (%v)", c, a, err)
 	}
 }
-
-// TestFigureShardsPropagation is the -expshards plumbing guard: every
-// figure driver copies sw.Base into each job, so setting Base.Shards
-// must reach every run, and — because the sharded engine is
-// differentially byte-identical to the unsharded one — the rendered
-// figure must not change by a single byte.
-func TestFigureShardsPropagation(t *testing.T) {
-	if testing.Short() {
-		t.Skip("figure sweep")
-	}
-	env := tinyEnv(t)
-	render := func(shards int) string {
-		sw := tinySweep()
-		sw.Ws = sw.Ws[:1]
-		sw.Base.Shards = shards // what cmd/lirabench -expshards sets
-		f, err := Figure13(env, sw)
-		if err != nil {
-			t.Fatalf("shards=%d: %v", shards, err)
-		}
-		var b strings.Builder
-		f.Render(&b)
-		return b.String()
-	}
-	un, sh := render(1), render(4)
-	if un != sh {
-		t.Fatalf("figure differs across engines:\nshards=1:\n%s\nshards=4:\n%s", un, sh)
-	}
-}

@@ -18,8 +18,8 @@ func stripWallClock(r *Result) *Result {
 // TestPolicyPathMatchesLegacyStrategy is the refactor's differential
 // suite: for every legacy strategy, a run configured by registry policy
 // name must be byte-identical (modulo wall-clock) to one configured by
-// the Strategy enum — across seeds and across both evaluation engines,
-// with mid-run re-adaptation exercised.
+// the Strategy enum — across seeds, with mid-run re-adaptation
+// exercised.
 func TestPolicyPathMatchesLegacyStrategy(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-run differential; skipped in -short")
@@ -37,25 +37,22 @@ func TestPolicyPathMatchesLegacyStrategy(t *testing.T) {
 			t.Fatalf("kind %v has no registry policy", kind)
 		}
 		for _, seed := range []uint64{3, 7, 1009} {
-			for _, shards := range []int{1, 4} {
-				legacy := base
-				legacy.Strategy = kind
-				legacy.Seed = seed
-				legacy.Shards = shards
-				lres, err := Run(env, legacy)
-				if err != nil {
-					t.Fatalf("%v seed=%d shards=%d legacy: %v", kind, seed, shards, err)
-				}
-				byName := legacy
-				byName.Policy = name
-				pres, err := Run(env, byName)
-				if err != nil {
-					t.Fatalf("%v seed=%d shards=%d policy: %v", kind, seed, shards, err)
-				}
-				if !reflect.DeepEqual(stripWallClock(lres), stripWallClock(pres)) {
-					t.Errorf("%v seed=%d shards=%d: policy %q diverged from legacy strategy\nlegacy: %+v\npolicy: %+v",
-						kind, seed, shards, name, stripWallClock(lres), stripWallClock(pres))
-				}
+			legacy := base
+			legacy.Strategy = kind
+			legacy.Seed = seed
+			lres, err := Run(env, legacy)
+			if err != nil {
+				t.Fatalf("%v seed=%d legacy: %v", kind, seed, err)
+			}
+			byName := legacy
+			byName.Policy = name
+			pres, err := Run(env, byName)
+			if err != nil {
+				t.Fatalf("%v seed=%d policy: %v", kind, seed, err)
+			}
+			if !reflect.DeepEqual(stripWallClock(lres), stripWallClock(pres)) {
+				t.Errorf("%v seed=%d: policy %q diverged from legacy strategy\nlegacy: %+v\npolicy: %+v",
+					kind, seed, name, stripWallClock(lres), stripWallClock(pres))
 			}
 		}
 	}

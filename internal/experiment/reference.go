@@ -11,7 +11,7 @@ import (
 // referenceKey names one Δ⊢ reference run: every input the reference's
 // queries, results, positions, and update counts depend on, and nothing
 // else. Throttle fraction, policy, shedding-region and statistics
-// parameters, engine sharding, station placement, and telemetry shape
+// parameters, station placement, and telemetry shape
 // only the candidate, so runs that differ only in those share a key.
 type referenceKey struct {
 	// Environment identity.

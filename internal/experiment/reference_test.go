@@ -39,7 +39,6 @@ var runConfigFields = map[string]struct {
 	"HandoffEvery":    {false, func(c *RunConfig) { c.HandoffEvery++ }},
 	"ReAdaptEvery":    {false, func(c *RunConfig) { c.ReAdaptEvery = 20 }},
 	"ProtectQueries":  {false, func(c *RunConfig) { c.ProtectQueries = 0.5 }},
-	"Shards":          {false, func(c *RunConfig) { c.Shards = 4 }},
 	"StationRadius":   {false, func(c *RunConfig) { c.StationRadius = 900 }},
 	"Seed":            {true, func(c *RunConfig) { c.Seed++ }},
 	"Telemetry":       {false, func(c *RunConfig) { c.Telemetry = telemetry.NewHub(0) }},
@@ -140,7 +139,7 @@ func replayRun() RunConfig {
 
 // TestReferenceReplayMatchesFresh runs every registered policy over the
 // road trace and a scenario on an Env whose memo is warm — recorded by a
-// run with a different policy, z, L, and engine — and checks each Result
+// run with a different policy, z, and L — and checks each Result
 // against a run on a fresh Env, serially and on two workers.
 func TestReferenceReplayMatchesFresh(t *testing.T) {
 	env := tinyEnv(t)
@@ -150,7 +149,6 @@ func TestReferenceReplayMatchesFresh(t *testing.T) {
 		warm.Policy = "uniform-grid"
 		warm.Z = 0.8
 		warm.L = 13
-		warm.Shards = 2
 		var cfgs []RunConfig
 		for _, p := range controlplane.RegisteredNames() {
 			c := replayRun()

@@ -40,43 +40,40 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 // deliver its reports inside UpdateBatch frames (visible in the frame
 // counters) and the server must apply every one of them.
 func TestBatchedUpdateFlow(t *testing.T) {
-	for _, shards := range []int{1, 4} {
-		clk := &fakeClock{}
-		hub := telemetry.NewHub(0)
-		s, err := Listen("127.0.0.1:0", ServerConfig{
-			Core:      coreConfig(64),
-			Shards:    shards,
-			Z:         1,
-			EvalEvery: 10 * time.Millisecond,
-			Clock:     clk.Now,
-			Telemetry: hub,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		c, err := DialNode(s.Addr().String(), 1, geo.Point{X: 100, Y: 100}, 5)
-		if err != nil {
-			t.Fatal(err)
-		}
-		batches := hub.Registry.Counter("lira_frames_read_update_batch_total")
-		// Every observation moves far past the 5-unit threshold, so each
-		// generates a report; the flusher ships them within ~5ms. The
-		// first few may go out per-update before the capability ack
-		// lands — keep observing until a batch frame has been counted.
-		x := 100.0
-		waitFor(t, "batched updates applied", func() bool {
-			x += 50
-			clk.Advance(100)
-			if _, err := c.Observe(geo.Point{X: x, Y: 100}, geo.Vector{}, clk.Now()); err != nil {
-				t.Fatal(err)
-			}
-			return batches.Value() > 0 && s.Introspect().Applied > 0
-		})
-		if err := c.Close(); err != nil {
-			t.Fatal(err)
-		}
-		s.Close()
+	clk := &fakeClock{}
+	hub := telemetry.NewHub(0)
+	s, err := Listen("127.0.0.1:0", ServerConfig{
+		Core:      coreConfig(64),
+		Z:         1,
+		EvalEvery: 10 * time.Millisecond,
+		Clock:     clk.Now,
+		Telemetry: hub,
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
+	c, err := DialNode(s.Addr().String(), 1, geo.Point{X: 100, Y: 100}, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	batches := hub.Registry.Counter("lira_frames_read_update_batch_total")
+	// Every observation moves far past the 5-unit threshold, so each
+	// generates a report; the flusher ships them within ~5ms. The
+	// first few may go out per-update before the capability ack
+	// lands — keep observing until a batch frame has been counted.
+	x := 100.0
+	waitFor(t, "batched updates applied", func() bool {
+		x += 50
+		clk.Advance(100)
+		if _, err := c.Observe(geo.Point{X: x, Y: 100}, geo.Vector{}, clk.Now()); err != nil {
+			t.Fatal(err)
+		}
+		return batches.Value() > 0 && s.Introspect().Applied > 0
+	})
+	if err := c.Close(); err != nil {
+		t.Fatal(err)
+	}
+	s.Close()
 }
 
 // TestLegacyClientPerUpdateCompat is the old-client half of the

@@ -15,7 +15,6 @@ import (
 	"lira/internal/metrics"
 	"lira/internal/motion"
 	"lira/internal/rng"
-	"lira/internal/shard"
 	"lira/internal/telemetry"
 	"lira/internal/wire"
 )
@@ -54,21 +53,12 @@ func TestChaosReconnectAndReconverge(t *testing.T) {
 	for _, seed := range []uint64{1, 2, 3} {
 		seed := seed
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			chaosRun(t, seed, 1)
+			chaosRun(t, seed)
 		})
 	}
 }
 
-// TestChaosShardedEngine runs the same acceptance harness against the
-// K=4 sharded engine: the lock-free ingest path, ring draining, fragment
-// merging, and per-shard telemetry all under fault injection. The
-// invariants are identical to the unsharded runs — sharding must be
-// invisible to clients even on a faulty network.
-func TestChaosShardedEngine(t *testing.T) {
-	chaosRun(t, 4, 4)
-}
-
-func chaosRun(t *testing.T, seed uint64, shards int) {
+func chaosRun(t *testing.T, seed uint64) {
 	baseline := runtime.NumGoroutine()
 	const nodes = 5
 
@@ -96,7 +86,6 @@ func chaosRun(t *testing.T, seed uint64, shards int) {
 			L:     13,
 			Curve: fmodel.Hyperbolic(5, 100, 19),
 		},
-		Shards: shards,
 		Stations: []basestation.Station{
 			{ID: 0, Center: geo.Point{X: 500, Y: 1000}, Radius: 900},
 			{ID: 1, Center: geo.Point{X: 1500, Y: 1000}, Radius: 900},
@@ -255,8 +244,8 @@ drainStale:
 		t.Error("no GREEDYINCREMENT assignment records in the journal")
 	}
 
-	if in := s.Introspect(); in.Shards != s.Sharded() || in.QueueCap == 0 {
-		t.Errorf("introspection engine view wrong: shards=%d cap=%d", in.Shards, in.QueueCap)
+	if in := s.Introspect(); in.QueueCap == 0 {
+		t.Errorf("introspection engine view wrong: cap=%d", in.QueueCap)
 	}
 
 	for _, c := range clients {
@@ -472,7 +461,8 @@ func TestReconnectRestoresAssignment(t *testing.T) {
 
 // TestQueueOverflowShedsOldestFirst covers the server's overflow path: a
 // saturated input queue sheds oldest-first, bumps the overflow counter,
-// and the drained survivors are exactly the freshest reports.
+// counts exactly one arrival per frame (the λ single-count contract), and
+// the drained survivors are exactly the freshest reports.
 func TestQueueOverflowShedsOldestFirst(t *testing.T) {
 	clk := &fakeClock{}
 	s, err := Listen("127.0.0.1:0", ServerConfig{
@@ -502,6 +492,9 @@ func TestQueueOverflowShedsOldestFirst(t *testing.T) {
 		t.Errorf("ShedFrames = %d, want 4", got)
 	}
 	s.mu.Lock()
+	if got := s.eng.Arrived(); got != 12 {
+		t.Errorf("engine arrivals = %d, want 12 (one per ingested frame, sheds included)", got)
+	}
 	if got := s.eng.Dropped(); got != 4 {
 		t.Errorf("queue drop accounting = %d, want 4 (overflow must feed the overload signal)", got)
 	}
@@ -579,50 +572,5 @@ func TestWallClockMonotone(t *testing.T) {
 			t.Fatalf("WallClock went backwards: %v -> %v", prev, now)
 		}
 		prev = now
-	}
-}
-
-// TestShardedOverflowLambdaOnce is the netsvc end of the λ double-count
-// audit: update frames funnelled through the lock-free sharded ingest
-// path count exactly one arrival each — never one per internal ring hop
-// or shed — and overflow sheds surface in both ShedFrames and the
-// engine's drop accounting.
-func TestShardedOverflowLambdaOnce(t *testing.T) {
-	clk := &fakeClock{}
-	s, err := Listen("127.0.0.1:0", ServerConfig{
-		Core: cqserver.Config{
-			Space:     space(),
-			Nodes:     16,
-			L:         13,
-			QueueSize: 8, // 2 per shard ring at K=4
-			Curve:     fmodel.Hyperbolic(5, 100, 19),
-		},
-		Shards:    4,
-		Z:         1,
-		EvalEvery: time.Hour, // keep the background loop out of the way
-		Clock:     clk.Now,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-
-	sh := s.eng.(*shard.Server)
-	const frames = 40
-	for i := 0; i < frames; i++ {
-		s.ingest(nil, wire.Update{
-			Node: uint32(i % 16),
-			// x walks the full space, spreading load over all four rings.
-			Report: motion.Report{Pos: geo.Point{X: float64(i%16) * 125, Y: 5}, Time: float64(i)},
-		})
-	}
-	if got := sh.Arrived(); got != frames {
-		t.Errorf("engine arrivals = %d, want %d (one per ingested frame)", got, frames)
-	}
-	if got := s.Counters().ShedFrames.Load(); got != sh.Dropped() {
-		t.Errorf("ShedFrames = %d but engine dropped = %d", got, sh.Dropped())
-	}
-	if got := sh.Dropped() + int64(sh.QueueLen()); got != frames {
-		t.Errorf("dropped + queued = %d, want %d (conservation)", got, frames)
 	}
 }

@@ -7,7 +7,7 @@ package netsvc
 //
 // where offered counts records entering ingest/ingestBatch at the trust
 // boundary, invalid counts out-of-range node ids discarded there, preshed
-// counts records the admission ladder rejected before the rings,
+// counts records the admission ladder rejected before the queue,
 // applied/ringshed/queued are the engine's own conservation triple
 // (Arrived == Applied + Dropped + QueueLen), and in-flight is the balance
 // — records past the offered counter but not yet landed in a downstream
@@ -15,7 +15,7 @@ package netsvc
 // is never negative on a healthy server: a negative balance means a
 // record was double-counted or a fate was invented, and increments
 // lira_ledger_violations_total. At quiescence (after Close drains the
-// rings) the balance is exactly zero — the property the differential and
+// queue) the balance is exactly zero — the property the differential and
 // chaos tests pin.
 
 import (
@@ -23,7 +23,7 @@ import (
 )
 
 // ledgerTelemetry holds the ledger's pre-resolved gauges (refreshed once
-// per background tick under the server mutex — the unsharded engine's
+// per background tick under the server mutex — the engine's
 // queue is not safe to read from a scrape goroutine) and the violation
 // counter. Nil when no Hub is configured.
 type ledgerTelemetry struct {
@@ -74,7 +74,7 @@ type LedgerView struct {
 // counter. A record increments offered first and lands in a bucket later,
 // so buckets(T1) <= entries(T1) <= offered(T2) for T1 < T2 — concurrent
 // ingest can only make the balance larger, never negative. Callers hold
-// s.mu (the unsharded engine's queue is mutex-guarded).
+// s.mu (the engine's queue is mutex-guarded).
 func (s *Server) ledgerView() LedgerView {
 	var v LedgerView
 	v.Invalid = s.invalid.Load()
@@ -110,9 +110,9 @@ func (s *Server) ledgerCheckLocked() {
 }
 
 // Ledger returns the conservation ledger under the server mutex. After
-// Close (which drains the rings) the balance is exactly zero unless a
+// Close (which drains the queue) the balance is exactly zero unless a
 // connection handler panicked mid-ingest (see Counters().Panics) — a
-// recovered panic between the offered count and the ring can leak an
+// recovered panic between the offered count and the queue can leak an
 // in-flight record, which the ledger deliberately surfaces rather than
 // hides.
 func (s *Server) Ledger() LedgerView {

@@ -21,6 +21,26 @@ func (f *fakeClock) Advance(ms int64) { f.now.Add(ms) }
 
 func space() geo.Rect { return geo.Rect{MinX: 0, MinY: 0, MaxX: 2000, MaxY: 2000} }
 
+// TestShardsAboveOneRejected pins the one-engine contract at the
+// deployment surface: ServerConfig.Shards accepts 0 or 1, and any larger
+// count fails the server start instead of silently running unsharded.
+func TestShardsAboveOneRejected(t *testing.T) {
+	cfg := ServerConfig{Core: coreConfig(16), EvalEvery: time.Hour}
+	for _, shards := range []int{0, 1} {
+		cfg.Shards = shards
+		s, err := Listen("127.0.0.1:0", cfg)
+		if err != nil {
+			t.Fatalf("Shards=%d: %v", shards, err)
+		}
+		s.Close()
+	}
+	cfg.Shards = 2
+	if s, err := Listen("127.0.0.1:0", cfg); err == nil {
+		s.Close()
+		t.Fatal("Shards=2 accepted; want an error")
+	}
+}
+
 func startServer(t *testing.T, clk Clock, z float64) *Server {
 	t.Helper()
 	s, err := Listen("127.0.0.1:0", ServerConfig{

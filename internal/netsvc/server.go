@@ -4,16 +4,11 @@
 // subscribers. Messages use the wire package's binary formats, so the
 // broadcast sizes match the paper's §4.3.2 accounting.
 //
-// The server drives an Engine — the unsharded cqserver.Server, or the
-// spatially sharded shard.Server when ServerConfig.Shards > 1; both
-// produce byte-identical query results, so sharding is purely a
-// concurrency knob. Periodic work — draining the input queue(s),
-// refreshing statistics, re-running the adaptation, evaluating queries —
-// happens on one background loop under the server mutex. Connection
-// goroutines funnel decoded messages through the same mutex, with one
-// exception: in sharded mode position updates enqueue onto the engine's
-// lock-free rings without taking the mutex at all, so ingest scales with
-// connections instead of serializing on the evaluator.
+// The server drives one Engine (internal/engine). Periodic work —
+// draining the input queue, refreshing statistics, re-running the
+// adaptation, evaluating queries — happens on one background loop under
+// the server mutex, and connection goroutines funnel decoded messages,
+// position updates included, through the same mutex.
 //
 // The layer is built for lossy, partition-prone links (the network the
 // paper's mobile CQ system actually runs over): connections carry read
@@ -73,11 +68,9 @@ const defaultReadTimeout = 30 * time.Second
 type ServerConfig struct {
 	// Core configures the embedded mobile CQ server.
 	Core cqserver.Config
-	// Shards selects the evaluation engine via engine.New (see
-	// internal/engine): values above 1 deploy the spatially sharded
-	// shard.Server with that many shard cells and a lock-free ingest
-	// path; 0 and 1 deploy the unsharded cqserver.Server. Query results
-	// are byte-identical either way.
+	// Shards is kept for compatibility with existing configs: 0 and 1
+	// deploy the engine, and any larger count makes Listen/Serve fail
+	// (see engine.New).
 	Shards int
 	// Stations is the base-station layout. Empty selects a single
 	// station covering the whole space.
@@ -138,11 +131,8 @@ type Server struct {
 	counters *metrics.NetCounters
 	tel      *netTelemetry
 
-	// eng is the evaluation engine; lockFreeIngest marks its ingest path
-	// safe for concurrent producers (sharded mode), letting update frames
-	// skip the server mutex entirely.
-	eng            engine.Engine
-	lockFreeIngest bool
+	// eng is the evaluation engine; every call into it holds mu.
+	eng engine.Engine
 
 	// adm is the degradation ladder (nil unless ServerConfig.Admission is
 	// set). Its lock-free methods (AdmitN, ClampZ) gate the ingest paths
@@ -206,7 +196,7 @@ type netTelemetry struct {
 	decodeSeconds *telemetry.Histogram // lira_batch_decode_seconds
 	gcPause       *telemetry.Gauge     // lira_gc_pause_seconds
 
-	// evalSeconds is the engines' Evaluate-latency histogram (shared by
+	// evalSeconds is the engine's Evaluate-latency histogram (shared by
 	// registry name); the admission sampler reads its p99 in-process.
 	evalSeconds *telemetry.Histogram // lira_evaluate_seconds
 }
@@ -330,15 +320,14 @@ func Serve(ln net.Listener, cfg ServerConfig) (*Server, error) {
 		}}
 	}
 	s := &Server{
-		cfg:            cfg,
-		ln:             ln,
-		counters:       cfg.Counters,
-		tel:            newNetTelemetry(cfg.Telemetry),
-		eng:            eng,
-		lockFreeIngest: eng.ConcurrentIngest(),
-		nodeConns:      make(map[uint32]*srvConn),
-		nodeStation:    make(map[uint32]int),
-		done:           make(chan struct{}),
+		cfg:         cfg,
+		ln:          ln,
+		counters:    cfg.Counters,
+		tel:         newNetTelemetry(cfg.Telemetry),
+		eng:         eng,
+		nodeConns:   make(map[uint32]*srvConn),
+		nodeStation: make(map[uint32]int),
+		done:        make(chan struct{}),
 	}
 	if cfg.Admission != nil {
 		ac := *cfg.Admission
@@ -428,15 +417,6 @@ func (s *Server) Close() error {
 // Core exposes the evaluation engine for inspection (tests, metrics).
 // Callers must not mutate it concurrently with a running server.
 func (s *Server) Core() engine.Engine { return s.eng }
-
-// Sharded returns the shard count the server was deployed with: 1 for
-// the unsharded engine, K for the sharded one.
-func (s *Server) Sharded() int {
-	if s.cfg.Shards > 1 {
-		return s.cfg.Shards
-	}
-	return 1
-}
 
 // Adapt re-runs the LIRA adaptation at the configured throttle fraction
 // and broadcasts fresh assignments to every connected node.
@@ -700,7 +680,7 @@ func (s *Server) ingestBatch(sc *srvConn, b *wire.UpdateBatch, root spans.Ctx) {
 	s.offered.Add(int64(n))
 	// Degradation ladder: at the shed and critical rungs only a fraction
 	// of offered records is admitted, oldest-first — the batch's leading
-	// (stalest) records are rejected before they touch the rings, and the
+	// (stalest) records are rejected before they touch the queue, and the
 	// freshest suffix survives. Pre-shed records never count as queue
 	// arrivals, so λ measures the load the system actually accepted.
 	off := 0
@@ -725,43 +705,32 @@ func (s *Server) ingestBatch(sc *srvConn, b *wire.UpdateBatch, root spans.Ctx) {
 			break
 		}
 	}
-	ingest := func() {
-		sp := root.Child("ingest", "netsvc")
-		shed := 0
-		invalid := 0
-		if vectored {
-			shed = s.eng.IngestShedOldestColumns(b.Node[off:], b.X[off:], b.Y[off:], b.VX[off:], b.VY[off:], b.Time[off:])
-		} else {
-			for i := off; i < n; i++ {
-				u := b.Update(i)
-				if int(u.Node) >= s.cfg.Core.Nodes {
-					invalid++
-					continue
-				}
-				if s.eng.IngestShedOldest(cqserver.Update{Node: int(u.Node), Report: u.Report}) {
-					shed++
-				}
-			}
-		}
-		if invalid > 0 {
-			s.invalid.Add(int64(invalid))
-		}
-		if shed > 0 {
-			s.counters.ShedFrames.Add(int64(shed))
-		}
-		sp.Num("shed", float64(shed)).Num("invalid", float64(invalid)).End()
-	}
-	// Sharded engine: records go straight onto the lock-free rings before
-	// the mutex, so concurrent connections never serialize on admission
-	// (same path as single-update ingest).
-	if s.lockFreeIngest {
-		ingest()
-	}
 	var handoffs [][]byte
 	s.mu.Lock()
-	if !s.lockFreeIngest {
-		ingest()
+	sp := root.Child("ingest", "netsvc")
+	shed := 0
+	invalid := 0
+	if vectored {
+		shed = s.eng.IngestShedOldestColumns(b.Node[off:], b.X[off:], b.Y[off:], b.VX[off:], b.VY[off:], b.Time[off:])
+	} else {
+		for i := off; i < n; i++ {
+			u := b.Update(i)
+			if int(u.Node) >= s.cfg.Core.Nodes {
+				invalid++
+				continue
+			}
+			if s.eng.IngestShedOldest(cqserver.Update{Node: int(u.Node), Report: u.Report}) {
+				shed++
+			}
+		}
 	}
+	if invalid > 0 {
+		s.invalid.Add(int64(invalid))
+	}
+	if shed > 0 {
+		s.counters.ShedFrames.Add(int64(shed))
+	}
+	sp.Num("shed", float64(shed)).Num("invalid", float64(invalid)).End()
 	for i := off; i < n; i++ {
 		node := b.Node[i]
 		if int(node) >= s.cfg.Core.Nodes {
@@ -812,7 +781,7 @@ func (s *Server) ingest(sc *srvConn, u wire.Update) {
 	}
 	// Degradation ladder: at the shed/critical rungs the controller
 	// rejects a deterministic fraction of offered frames before they
-	// reach the rings (oldest-first over the arrival sequence).
+	// reach the queue (oldest-first over the arrival sequence).
 	if s.adm != nil && s.adm.AdmitN(1) == 0 {
 		return
 	}
@@ -820,20 +789,11 @@ func (s *Server) ingest(sc *srvConn, u wire.Update) {
 	// its oldest report to admit the freshest. The shed counts as a drop
 	// in the queue's accounting — the same λ-side signal THROTLOOP's
 	// utilization estimate is built from — so sustained overflow shows up
-	// as overload, not as an OOM. In sharded mode the enqueue hits the
-	// engine's lock-free rings before the mutex, so concurrent
-	// connections never serialize on admission; either way each frame
-	// counts exactly one arrival (the λ single-count contract).
-	if s.lockFreeIngest {
-		if s.eng.IngestShedOldest(cqserver.Update{Node: int(u.Node), Report: u.Report}) {
-			s.counters.ShedFrames.Add(1)
-		}
-	}
+	// as overload, not as an OOM. Each frame counts exactly one arrival
+	// (the λ single-count contract).
 	s.mu.Lock()
-	if !s.lockFreeIngest {
-		if s.eng.IngestShedOldest(cqserver.Update{Node: int(u.Node), Report: u.Report}) {
-			s.counters.ShedFrames.Add(1)
-		}
+	if s.eng.IngestShedOldest(cqserver.Update{Node: int(u.Node), Report: u.Report}) {
+		s.counters.ShedFrames.Add(1)
 	}
 	// Hand-off check: a node that moved outside its station's coverage
 	// gets the new station's subset.
@@ -897,8 +857,7 @@ func resultFrame(id uint32, nodes []int) []byte {
 func (s *Server) backgroundLoop() {
 	defer s.wg.Done()
 	// Profiler attribution: the drain/adapt/evaluate loop is the server's
-	// hot goroutine; label it once so CPU and goroutine profiles name it
-	// (the shard workers carry lira_phase=predict/scan the same way).
+	// hot goroutine; label it once so CPU and goroutine profiles name it.
 	pprof.SetGoroutineLabels(pprof.WithLabels(context.Background(),
 		pprof.Labels("lira_phase", "drain")))
 	tick := s.cfg.EvalEvery
@@ -934,7 +893,7 @@ func (s *Server) backgroundLoop() {
 		// construction) — and walk the degradation ladder. A rung change
 		// re-runs the adaptation immediately so nodes hear the new clamped
 		// z this tick, not an AdaptEvery later. The sample runs under the
-		// mutex because the unsharded engine's queue is mutex-guarded.
+		// mutex because the engine's queue is mutex-guarded.
 		rungChanged := false
 		if s.adm != nil {
 			sp := root.Child("admission_observe", "netsvc")
@@ -996,7 +955,7 @@ func (s *Server) backgroundLoop() {
 // goroutine census, the Evaluate p99 read from the shared latency
 // histogram, and the most recent GC pause. Tests override the whole
 // sampler via ServerConfig.AdmissionSample for deterministic traces.
-// Callers hold s.mu (the unsharded engine's queue is mutex-guarded).
+// Callers hold s.mu (the engine's queue is mutex-guarded).
 func (s *Server) sampleSignals() admission.Signals {
 	if s.cfg.AdmissionSample != nil {
 		return s.cfg.AdmissionSample()
@@ -1034,7 +993,7 @@ func (s *Server) observeSLOLocked() {
 		case "inaccuracy":
 			// Lost-report fraction from the conservation ledger: the share
 			// of offered records that will never reach the motion table
-			// (pre-shed, invalid, or shed from the rings). Reports the
+			// (pre-shed, invalid, or shed from the queue). Reports the
 			// engine drops are exactly the ones whose staleness the paper's
 			// inaccuracy bound pays for.
 			lv := s.ledgerView()
@@ -1082,7 +1041,6 @@ type Introspection struct {
 	Regions        []RegionView        `json:"regions"`
 	ConnectedNodes int                 `json:"connected_nodes"`
 	Queries        int                 `json:"queries"`
-	Shards         int                 `json:"shards"`
 	QueueLen       int                 `json:"queue_len"`
 	QueueCap       int                 `json:"queue_cap"`
 	Applied        int64               `json:"updates_applied"`
@@ -1102,7 +1060,6 @@ func (s *Server) Introspect() Introspection {
 		Z:              s.cfg.Z,
 		ConnectedNodes: len(s.nodeConns),
 		Queries:        len(s.queryRegs),
-		Shards:         s.Sharded(),
 		QueueLen:       s.eng.QueueLen(),
 		QueueCap:       s.eng.QueueCap(),
 		Applied:        s.eng.Applied(),
@@ -1126,7 +1083,7 @@ func (s *Server) Introspect() Introspection {
 }
 
 // observeStatsLocked snapshots the motion table into the statistics grid.
-// The snapshot buffers are pooled on the server (neither engine retains
+// The snapshot buffers are pooled on the server (the engine does not retain
 // them past the call), so a steady-state tick allocates nothing here.
 func (s *Server) observeStatsLocked(now float64) {
 	table := s.eng.Table()

@@ -30,10 +30,6 @@ type Config struct {
 	// aggregate report rate (updates per tick).
 	Nodes int
 	Rate  float64
-	// ServicePerShard is the modeled per-shard drain capacity in updates
-	// per tick (0 selects Rate — one shard exactly keeps up with the
-	// baseline and the overloads create the planning tension).
-	ServicePerShard float64
 	// SpaceSide is the side of the monitored square in meters (0 selects
 	// 6000).
 	SpaceSide float64
@@ -41,13 +37,16 @@ type Config struct {
 	Seed uint64
 	// L is the shedding-region count (0 selects 13).
 	L int
-	// Shards, ZClamps, Policies, Scenarios define the sweep grid. Empty
-	// slices select the defaults: K ∈ {1,2,4}, z ∈ {1.0,0.7,0.4}, every
-	// controlplane policy, every catalog scenario.
-	Shards    []int
-	ZClamps   []float64
-	Policies  []string
-	Scenarios []string
+	// Capacities, ZClamps, Policies, Scenarios define the sweep grid.
+	// Capacities are drain capacities as multiples of Rate (1 exactly
+	// keeps up with the baseline, so the overloads create the planning
+	// tension). Empty slices select the defaults: capacity ∈ {1,2,4},
+	// z ∈ {1.0,0.7,0.4}, every controlplane policy, every catalog
+	// scenario.
+	Capacities []float64
+	ZClamps    []float64
+	Policies   []string
+	Scenarios  []string
 	// Objective is the SLO candidates are judged against.
 	Objective SLO
 	// Progress, when non-nil, is called once per completed cell —
@@ -56,17 +55,14 @@ type Config struct {
 }
 
 func (c *Config) fillDefaults() {
-	if c.ServicePerShard <= 0 {
-		c.ServicePerShard = c.Rate
-	}
 	if c.SpaceSide <= 0 {
 		c.SpaceSide = 6000
 	}
 	if c.L <= 0 {
 		c.L = 13
 	}
-	if len(c.Shards) == 0 {
-		c.Shards = []int{1, 2, 4}
+	if len(c.Capacities) == 0 {
+		c.Capacities = []float64{1, 2, 4}
 	}
 	if len(c.ZClamps) == 0 {
 		c.ZClamps = []float64{1.0, 0.7, 0.4}
@@ -84,7 +80,7 @@ func (c *Config) fillDefaults() {
 
 // Combo is one candidate configuration with its per-scenario outcomes.
 type Combo struct {
-	Shards   int     `json:"shards"`
+	Capacity float64 `json:"capacity"`
 	ZClamp   float64 `json:"z_clamp"`
 	Policy   string  `json:"policy"`
 	Feasible bool    `json:"feasible"`
@@ -99,7 +95,7 @@ type Combo struct {
 // Plan sweeps the grid in cheapest-first order and returns the full
 // measured table plus the first (= cheapest) combo feasible on every
 // scenario. The order is deliberate and documented (DESIGN.md §5j):
-// shards ascending (hardware is the real cost), then z-clamp descending
+// capacity ascending (hardware is the real cost), then z-clamp descending
 // (shed as little as possible), then policy in controlplane registry
 // order (simplest computation first). Every cell is still simulated, so
 // the artifact carries the complete measured curve per policy per
@@ -111,42 +107,40 @@ func Plan(cfg Config) (*Report, error) {
 	}
 	zClamps := append([]float64(nil), cfg.ZClamps...)
 	sort.Sort(sort.Reverse(sort.Float64Slice(zClamps)))
-	shards := append([]int(nil), cfg.Shards...)
-	sort.Ints(shards)
+	capacities := append([]float64(nil), cfg.Capacities...)
+	sort.Float64s(capacities)
 	space := geo.Rect{MinX: 0, MinY: 0, MaxX: cfg.SpaceSide, MaxY: cfg.SpaceSide}
 
 	rep := &Report{
-		Nodes:           cfg.Nodes,
-		Rate:            cfg.Rate,
-		ServicePerShard: cfg.ServicePerShard,
-		SpaceSide:       cfg.SpaceSide,
-		Seed:            cfg.Seed,
-		L:               cfg.L,
-		SLO:             cfg.Objective,
-		Scenarios:       cfg.Scenarios,
-		GridShards:      shards,
-		GridZClamps:     zClamps,
-		GridPolicies:    cfg.Policies,
+		Nodes:        cfg.Nodes,
+		Rate:         cfg.Rate,
+		SpaceSide:    cfg.SpaceSide,
+		Seed:         cfg.Seed,
+		L:            cfg.L,
+		SLO:          cfg.Objective,
+		Scenarios:    cfg.Scenarios,
+		GridCapacity: capacities,
+		GridZClamps:  zClamps,
+		GridPolicies: cfg.Policies,
 	}
-	total := len(shards) * len(zClamps) * len(cfg.Policies) * len(cfg.Scenarios)
+	total := len(capacities) * len(zClamps) * len(cfg.Policies) * len(cfg.Scenarios)
 	done := 0
-	for _, k := range shards {
+	for _, c := range capacities {
 		for _, z := range zClamps {
 			for _, polName := range cfg.Policies {
-				combo := &Combo{Shards: k, ZClamp: z, Policy: polName, Feasible: true, WorstRung: admission.Healthy.String()}
+				combo := &Combo{Capacity: c, ZClamp: z, Policy: polName, Feasible: true, WorstRung: admission.Healthy.String()}
 				worstRung := admission.Healthy
 				for _, scen := range cfg.Scenarios {
 					o, err := Simulate(SimConfig{
-						Scenario:        scen,
-						Space:           space,
-						Nodes:           cfg.Nodes,
-						Rate:            cfg.Rate,
-						Seed:            cfg.Seed,
-						Shards:          k,
-						ZClamp:          z,
-						Policy:          polName,
-						ServicePerShard: cfg.ServicePerShard,
-						L:               cfg.L,
+						Scenario: scen,
+						Space:    space,
+						Nodes:    cfg.Nodes,
+						Rate:     cfg.Rate,
+						Seed:     cfg.Seed,
+						Capacity: c,
+						ZClamp:   z,
+						Policy:   polName,
+						L:        cfg.L,
 					})
 					if err != nil {
 						return nil, err
@@ -185,16 +179,15 @@ func Plan(cfg Config) (*Report, error) {
 		rep.Verified = true
 		for i, scen := range cfg.Scenarios {
 			o, err := Simulate(SimConfig{
-				Scenario:        scen,
-				Space:           space,
-				Nodes:           cfg.Nodes,
-				Rate:            cfg.Rate,
-				Seed:            cfg.Seed,
-				Shards:          rep.Recommended.Shards,
-				ZClamp:          rep.Recommended.ZClamp,
-				Policy:          rep.Recommended.Policy,
-				ServicePerShard: cfg.ServicePerShard,
-				L:               cfg.L,
+				Scenario: scen,
+				Space:    space,
+				Nodes:    cfg.Nodes,
+				Rate:     cfg.Rate,
+				Seed:     cfg.Seed,
+				Capacity: rep.Recommended.Capacity,
+				ZClamp:   rep.Recommended.ZClamp,
+				Policy:   rep.Recommended.Policy,
+				L:        cfg.L,
 			})
 			if err != nil {
 				return nil, err

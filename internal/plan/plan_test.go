@@ -15,45 +15,44 @@ func testSpace() geo.Rect {
 }
 
 // TestSimulateDeterministic is the catalog-wide byte-determinism check:
-// for every scenario, three seeds, and both engines (K=1 unsharded, K=2
-// sharded), two simulations produce identical telemetry journals (JSONL
-// bytes) and identical outcomes, query results included (ResultHash).
+// for every scenario, three seeds, and two drain capacities, two
+// simulations produce identical telemetry journals (JSONL bytes) and
+// identical outcomes, query results included (ResultHash).
 func TestSimulateDeterministic(t *testing.T) {
 	for _, scen := range workload.CatalogNames() {
 		scen := scen
 		t.Run(scen, func(t *testing.T) {
 			for _, seed := range []uint64{1, 42, 31337} {
-				for _, shards := range []int{1, 2} {
+				for _, capacity := range []float64{1, 2} {
 					run := func() (*Outcome, []byte) {
 						var journal bytes.Buffer
 						o, err := Simulate(SimConfig{
-							Scenario:        scen,
-							Space:           testSpace(),
-							Nodes:           200,
-							Rate:            20,
-							Seed:            seed,
-							Shards:          shards,
-							ZClamp:          1,
-							Policy:          "lira",
-							ServicePerShard: 20,
-							JournalSink:     &journal,
+							Scenario:    scen,
+							Space:       testSpace(),
+							Nodes:       200,
+							Rate:        20,
+							Seed:        seed,
+							Capacity:    capacity,
+							ZClamp:      1,
+							Policy:      "lira",
+							JournalSink: &journal,
 						})
 						if err != nil {
-							t.Fatalf("seed %d K=%d: %v", seed, shards, err)
+							t.Fatalf("seed %d capacity=%g: %v", seed, capacity, err)
 						}
 						return o, journal.Bytes()
 					}
 					o1, j1 := run()
 					o2, j2 := run()
 					if *o1 != *o2 {
-						t.Fatalf("seed %d K=%d: outcomes differ:\n%+v\n%+v", seed, shards, o1, o2)
+						t.Fatalf("seed %d capacity=%g: outcomes differ:\n%+v\n%+v", seed, capacity, o1, o2)
 					}
 					if !bytes.Equal(j1, j2) {
-						t.Fatalf("seed %d K=%d: telemetry journals differ (%d vs %d bytes)",
-							seed, shards, len(j1), len(j2))
+						t.Fatalf("seed %d capacity=%g: telemetry journals differ (%d vs %d bytes)",
+							seed, capacity, len(j1), len(j2))
 					}
 					if len(j1) == 0 {
-						t.Fatalf("seed %d K=%d: empty journal — determinism check is vacuous", seed, shards)
+						t.Fatalf("seed %d capacity=%g: empty journal — determinism check is vacuous", seed, capacity)
 					}
 				}
 			}
@@ -65,12 +64,12 @@ func TestSimulateDeterministic(t *testing.T) {
 func TestSimulateValidation(t *testing.T) {
 	base := SimConfig{
 		Scenario: "blackout", Space: testSpace(), Nodes: 50, Rate: 5,
-		Shards: 1, ZClamp: 1, Policy: "lira", ServicePerShard: 5,
+		Capacity: 1, ZClamp: 1, Policy: "lira",
 	}
 	for name, mutate := range map[string]func(*SimConfig){
-		"zero shards":    func(c *SimConfig) { c.Shards = 0 },
+		"zero capacity":  func(c *SimConfig) { c.Capacity = 0 },
 		"bad zclamp":     func(c *SimConfig) { c.ZClamp = 1.5 },
-		"zero service":   func(c *SimConfig) { c.ServicePerShard = 0 },
+		"zero rate":      func(c *SimConfig) { c.Rate = 0 },
 		"unknown policy": func(c *SimConfig) { c.Policy = "nope" },
 		"unknown scen":   func(c *SimConfig) { c.Scenario = "nope" },
 	} {
@@ -84,14 +83,14 @@ func TestSimulateValidation(t *testing.T) {
 
 func testPlanConfig() Config {
 	return Config{
-		Nodes:     300,
-		Rate:      30,
-		Seed:      7,
-		Shards:    []int{1, 2},
-		ZClamps:   []float64{1.0, 0.5},
-		Policies:  []string{"lira"},
-		Scenarios: []string{"blackout", "flash-crowd", "query-churn", "rush-hour-closure"},
-		Objective: SLO{P99LatencyMS: 5000, MaxInaccuracyM: 12, MaxRung: admission.Shed},
+		Nodes:      300,
+		Rate:       30,
+		Seed:       7,
+		Capacities: []float64{1, 2},
+		ZClamps:    []float64{1.0, 0.5},
+		Policies:   []string{"lira"},
+		Scenarios:  []string{"blackout", "flash-crowd", "query-churn", "rush-hour-closure"},
+		Objective:  SLO{P99LatencyMS: 5000, MaxInaccuracyM: 12, MaxRung: admission.Shed},
 	}
 }
 
@@ -123,16 +122,15 @@ func TestPlanRecommendationMeetsSLO(t *testing.T) {
 	rec := rep.Recommended
 	for i, scen := range cfg.Scenarios {
 		o, err := Simulate(SimConfig{
-			Scenario:        scen,
-			Space:           geo.Rect{MaxX: 6000, MaxY: 6000},
-			Nodes:           cfg.Nodes,
-			Rate:            cfg.Rate,
-			Seed:            cfg.Seed,
-			Shards:          rec.Shards,
-			ZClamp:          rec.ZClamp,
-			Policy:          rec.Policy,
-			ServicePerShard: cfg.Rate, // fillDefaults selects Rate
-			L:               13,
+			Scenario: scen,
+			Space:    geo.Rect{MaxX: 6000, MaxY: 6000},
+			Nodes:    cfg.Nodes,
+			Rate:     cfg.Rate,
+			Seed:     cfg.Seed,
+			Capacity: rec.Capacity,
+			ZClamp:   rec.ZClamp,
+			Policy:   rec.Policy,
+			L:        13,
 		})
 		if err != nil {
 			t.Fatalf("re-simulate %s: %v", scen, err)

@@ -14,17 +14,16 @@ type Report struct {
 	// Command records the invoking command line (set by liraplan).
 	Command string `json:"command"`
 
-	Nodes           int     `json:"nodes"`
-	Rate            float64 `json:"rate"`
-	ServicePerShard float64 `json:"service_per_shard"`
-	SpaceSide       float64 `json:"space_side_m"`
-	Seed            uint64  `json:"seed"`
-	L               int     `json:"regions"`
+	Nodes     int     `json:"nodes"`
+	Rate      float64 `json:"rate"`
+	SpaceSide float64 `json:"space_side_m"`
+	Seed      uint64  `json:"seed"`
+	L         int     `json:"regions"`
 
 	SLO       SLO      `json:"slo"`
 	Scenarios []string `json:"scenarios"`
 
-	GridShards   []int     `json:"grid_shards"`
+	GridCapacity []float64 `json:"grid_capacity"`
 	GridZClamps  []float64 `json:"grid_z_clamps"`
 	GridPolicies []string  `json:"grid_policies"`
 
@@ -117,14 +116,14 @@ func (r *MeasuredReport) Table() string {
 // recommended combo's per-scenario breakdown.
 func (r *Report) Table() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "capacity plan: %d nodes, %.0f updates/tick baseline, %.0f per-shard service\n",
-		r.Nodes, r.Rate, r.ServicePerShard)
+	fmt.Fprintf(&b, "capacity plan: %d nodes, %.0f updates/tick baseline (capacity 1 drains exactly that)\n",
+		r.Nodes, r.Rate)
 	fmt.Fprintf(&b, "SLO: p99 ≤ %.0f ms, inaccuracy ≤ %.0f m, rung ≤ %s\n",
 		r.SLO.P99LatencyMS, r.SLO.MaxInaccuracyM, r.SLO.MaxRungName)
 	fmt.Fprintf(&b, "scenarios: %s\n\n", strings.Join(r.Scenarios, ", "))
 
-	fmt.Fprintf(&b, "%-4s %-8s %-14s %12s %14s %-10s %-8s\n",
-		"K", "z-clamp", "policy", "worst p99", "worst inacc", "worst rung", "meets")
+	fmt.Fprintf(&b, "%-8s %-8s %-14s %12s %14s %-10s %-8s\n",
+		"capacity", "z-clamp", "policy", "worst p99", "worst inacc", "worst rung", "meets")
 	for _, c := range r.Combos {
 		mark := ""
 		if r.Recommended == c {
@@ -134,19 +133,19 @@ func (r *Report) Table() string {
 		if c.Feasible {
 			feas = "yes"
 		}
-		fmt.Fprintf(&b, "%-4d %-8.2f %-14s %9.0f ms %12.1f m %-10s %-8s%s\n",
-			c.Shards, c.ZClamp, c.Policy,
+		fmt.Fprintf(&b, "%-8g %-8.2f %-14s %9.0f ms %12.1f m %-10s %-8s%s\n",
+			c.Capacity, c.ZClamp, c.Policy,
 			c.WorstP99MS, c.WorstInaccuracyM, c.WorstRung, feas, mark)
 	}
 
 	b.WriteString("\n")
 	if r.Recommended == nil {
-		b.WriteString("no feasible configuration on this grid — raise K, relax the SLO, or widen the grid\n")
+		b.WriteString("no feasible configuration on this grid — raise capacity, relax the SLO, or widen the grid\n")
 		return b.String()
 	}
 	c := r.Recommended
-	fmt.Fprintf(&b, "recommended: K=%d z-clamp=%.2f policy=%s (verified=%v)\n",
-		c.Shards, c.ZClamp, c.Policy, r.Verified)
+	fmt.Fprintf(&b, "recommended: capacity=%g z-clamp=%.2f policy=%s (verified=%v)\n",
+		c.Capacity, c.ZClamp, c.Policy, r.Verified)
 	fmt.Fprintf(&b, "%-22s %12s %14s %-10s %10s %10s\n",
 		"scenario", "p99", "inaccuracy", "rung", "dropped", "pre-shed")
 	for _, o := range c.Outcomes {

@@ -1,7 +1,7 @@
 // Package plan is the deterministic capacity planner behind liraplan: it
 // replays catalog scenarios (internal/workload) through a closed-loop
 // capacity model of the full server stack — engine, admission ladder,
-// THROTLOOP, and a controlplane policy — and sweeps shard count K,
+// THROTLOOP, and a controlplane policy — and sweeps drain capacity,
 // throttle clamp z, and policy to find the cheapest configuration whose
 // worst case still meets an operator SLO (p99 Evaluate latency, mean
 // inaccuracy, maximum admission rung). Everything is a pure function of
@@ -19,7 +19,6 @@ import (
 	"lira/internal/admission"
 	"lira/internal/controlplane"
 	"lira/internal/cqserver"
-	"lira/internal/engine"
 	"lira/internal/fmodel"
 	"lira/internal/geo"
 	"lira/internal/motion"
@@ -31,7 +30,7 @@ import (
 
 // Capacity-model constants. Work is measured in update-equivalents (one
 // unit = fully processing one admitted report); an Evaluate round's work
-// divided by the configured capacity K·ServicePerShard gives its modeled
+// divided by the configured capacity Capacity·Rate gives its modeled
 // latency in ticks (= model seconds). The mix makes every scenario axis
 // visible: ingest volume through workApply, standing query load through
 // workQuery, result fan-out through workRow, and churn-storm registration
@@ -71,16 +70,15 @@ type SimConfig struct {
 	Rate  float64
 	// Seed drives the scenario and the source-throttle thinning.
 	Seed uint64
-	// Shards is the candidate K (1 selects the unsharded engine).
-	Shards int
+	// Capacity is the candidate drain capacity as a multiple of Rate:
+	// Capacity·Rate updates per tick (1 exactly keeps up with the
+	// baseline).
+	Capacity float64
 	// ZClamp is the candidate throttle ceiling: adaptations may choose any
 	// z ≤ ZClamp, and sources thin their reports to the chosen z.
 	ZClamp float64
 	// Policy is the controlplane policy name (controlplane.Policies).
 	Policy string
-	// ServicePerShard is the per-shard drain budget in updates per tick;
-	// K·ServicePerShard is the modeled total capacity.
-	ServicePerShard float64
 	// L is the shedding-region count (0 selects 13).
 	L int
 	// JournalSink, when non-nil, receives the run's telemetry journal as
@@ -91,7 +89,7 @@ type SimConfig struct {
 // Outcome is the measured result of one simulation cell.
 type Outcome struct {
 	Scenario string  `json:"scenario"`
-	Shards   int     `json:"shards"`
+	Capacity float64 `json:"capacity"`
 	ZClamp   float64 `json:"z_clamp"`
 	Policy   string  `json:"policy"`
 
@@ -132,14 +130,11 @@ func (o *Outcome) MeetsSLO(slo SLO) bool {
 // the telemetry clock, so the journal — and therefore the artifact — is a
 // pure function of (seed, config).
 func Simulate(cfg SimConfig) (*Outcome, error) {
-	if cfg.Shards < 1 {
-		return nil, fmt.Errorf("plan: shards must be >= 1, got %d", cfg.Shards)
+	if cfg.Capacity <= 0 {
+		return nil, fmt.Errorf("plan: non-positive capacity %v", cfg.Capacity)
 	}
 	if cfg.ZClamp <= 0 || cfg.ZClamp > 1 {
 		return nil, fmt.Errorf("plan: z clamp must be in (0,1], got %v", cfg.ZClamp)
-	}
-	if cfg.ServicePerShard <= 0 {
-		return nil, fmt.Errorf("plan: non-positive per-shard service rate %v", cfg.ServicePerShard)
 	}
 	if cfg.L <= 0 {
 		cfg.L = 13
@@ -162,17 +157,17 @@ func Simulate(cfg SimConfig) (*Outcome, error) {
 	latency := hub.Registry.Histogram("liraplan_eval_latency_ms", latencyBoundsMS())
 
 	queueSize := int(8 * cfg.Rate)
-	if queueSize < 4*cfg.Shards {
-		queueSize = 4 * cfg.Shards
+	if queueSize < 4 {
+		queueSize = 4
 	}
-	eng, err := engine.New(cqserver.Config{
+	eng, err := cqserver.New(cqserver.Config{
 		Space:     cfg.Space,
 		Nodes:     cfg.Nodes,
 		L:         cfg.L,
 		QueueSize: queueSize,
 		Curve:     fmodel.Hyperbolic(5, 100, 19),
 		Telemetry: hub,
-	}, cfg.Shards)
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -199,11 +194,11 @@ func Simulate(cfg SimConfig) (*Outcome, error) {
 
 	out := &Outcome{
 		Scenario: cfg.Scenario,
-		Shards:   cfg.Shards,
+		Capacity: cfg.Capacity,
 		ZClamp:   cfg.ZClamp,
 		Policy:   cfg.Policy,
 	}
-	capacity := float64(cfg.Shards) * cfg.ServicePerShard
+	capacity := cfg.Capacity * cfg.Rate
 	drainBudget := int(capacity)
 	thin := rng.New(cfg.Seed).Split(0x7417)
 	resHash := fnv.New64a()

@@ -182,50 +182,6 @@ func (g *Grid) observeSharded(positions []geo.Point, speeds []float64, shards in
 	}
 }
 
-// MergeObservations replaces dst's node statistics with the cell-wise sum
-// of the srcs' node statistics, leaving dst's query census untouched. It
-// is the reduction step of the sharded CQ server: each shard folds only
-// the nodes resident in its cells into a private grid, and the adaptation
-// cycle merges those grids into one global view for GRIDREDUCE and
-// GREEDYINCREMENT.
-//
-// All grids must share dst's geometry (space and alpha) and the srcs must
-// have folded the same number of Observe rounds — each shard observes
-// every sampling round, possibly with zero nodes. Because spatial routing
-// sends every observation of a cell to exactly one shard, each cell's
-// sums arrive from a single src and merging is exact: the merged per-cell
-// statistics are bit-identical to a single grid observing the undivided
-// stream. The cross-shard scalar partials (global speed sum, observation
-// count, round population) are added in src order, so the merged global
-// mean speed is a pure function of the inputs — and, with one src, equals
-// the unsharded value bit-for-bit.
-func MergeObservations(dst *Grid, srcs []*Grid) {
-	dst.ResetObservations()
-	for si, src := range srcs {
-		if src.alpha != dst.alpha || src.space != dst.space {
-			panic("statgrid: merge geometry mismatch")
-		}
-		if si > 0 && src.samples != srcs[0].samples {
-			panic(fmt.Sprintf("statgrid: merge sample mismatch: shard %d has %d rounds, shard 0 has %d",
-				si, src.samples, srcs[0].samples))
-		}
-		for c := range dst.sumCount {
-			dst.sumCount[c] += src.sumCount[c]
-			dst.sumSpeed[c] += src.sumSpeed[c]
-			dst.obsNodes[c] += src.obsNodes[c]
-		}
-		dst.sumAllSp += src.sumAllSp
-		dst.obsAll += src.obsAll
-		dst.totalN += src.totalN
-	}
-	if len(srcs) > 0 {
-		dst.samples = srcs[0].samples
-	}
-	if dst.obsAll > 0 {
-		dst.meanSpeed = dst.sumAllSp / dst.obsAll
-	}
-}
-
 // ResetObservations clears the node statistics (but not the query census),
 // starting a fresh measurement window.
 func (g *Grid) ResetObservations() {

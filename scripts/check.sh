@@ -65,9 +65,6 @@ go test -race -count 1 -run 'Chaos|LossDegrades|Reconnect|ClientErr|Overflow|Dra
 echo "== bench smoke (Fig04, 1 iteration) =="
 go test -run '^$' -bench Fig04 -benchtime 1x .
 
-echo "== shard smoke (K sweep, byte-identical results enforced) =="
-go run ./cmd/lirabench -shards 1,4 -nodes 400 -duration 40
-
 echo "== policy smoke (measured policy comparison, one seed) =="
 go run ./cmd/lirabench -policy -nodes 600 -duration 60
 

@@ -1,8 +1,7 @@
 #!/bin/sh
-# Telemetry smoke: (1) boot lirad with introspection enabled and the
-# sharded engine (K=4), scrape /metrics and /debug/lira, and assert the
-# expected metric families — including per-shard gauges — and pipeline
-# fields are present; (2) prove telemetry passivity — the same seeded
+# Telemetry smoke: (1) boot lirad with introspection enabled, scrape
+# /metrics and /debug/lira, and assert the expected metric families and
+# pipeline fields are present; (2) prove telemetry passivity — the same seeded
 # simulation produces byte-identical output with the journal on and
 # off, and two journaled runs produce byte-identical journals.
 set -eu
@@ -22,7 +21,7 @@ HTTP=127.0.0.1:17401
 echo "-- lirad introspection --"
 go build -o "$TMP/lirad" ./cmd/lirad
 "$TMP/lirad" -listen 127.0.0.1:17400 -http "$HTTP" -nodes 64 -l 13 \
-	-side 2000 -adapt 1s -shards 4 -journal "$TMP/lirad.jsonl" 2>"$TMP/lirad.log" &
+	-side 2000 -adapt 1s -journal "$TMP/lirad.jsonl" 2>"$TMP/lirad.log" &
 LIRAD_PID=$!
 
 # Poll until the introspection endpoint answers (or lirad died).
@@ -41,7 +40,6 @@ done
 for family in lira_queue_depth lira_throttle_z lira_statgrid_nodes \
 	lira_gridreduce_seconds_bucket lira_set_throttlers_seconds_sum \
 	lira_adaptations_total lira_net_disconnects_total \
-	lira_shard0_queue_depth lira_shard3_residents lira_shard_migrations_total \
 	lira_frames_read_update_batch_total lira_ingest_batch_size_bucket \
 	lira_batch_decode_seconds_bucket lira_gc_pause_seconds; do
 	grep -q "^$family" "$TMP/metrics.txt" || {
@@ -53,7 +51,7 @@ done
 echo "   /metrics: all families present"
 
 curl -sf "http://$HTTP/debug/lira?tail=8" >"$TMP/debug.json"
-for field in '"z"' '"regions"' '"delta"' '"journal"' '"shards": *4' '"kind": *"repartition"' '"kind": *"assign"'; do
+for field in '"z"' '"regions"' '"delta"' '"journal"' '"kind": *"repartition"' '"kind": *"assign"'; do
 	grep -q "$field" "$TMP/debug.json" || {
 		echo "field $field missing from /debug/lira" >&2
 		cat "$TMP/debug.json" >&2

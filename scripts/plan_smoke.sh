@@ -1,6 +1,6 @@
 #!/bin/sh
 # Capacity-planner smoke: run liraplan over a tiny grid (small fleet, two
-# shard counts, two clamps, one policy, two scenarios) and assert the
+# drain capacities, two clamps, one policy, two scenarios) and assert the
 # planner's contract — a feasible plan is found, the embedded replay
 # verification passed, the JSON schema is stable, and a second identical
 # invocation emits a byte-identical artifact. This gates the harness;
@@ -18,7 +18,7 @@ run_plan() {
 	# cd so argv (recorded in the artifact's "command" field) is identical
 	# across runs — the byte-identity check depends on it.
 	(cd "$1" && "$TMP/liraplan" -q -nodes 200 -rate 20 -seed 3 \
-		-ks 1,2 -zclamps 1,0.5 -policies lira \
+		-capacity 1,2 -zclamps 1,0.5 -policies lira \
 		-scenarios blackout,query-churn \
 		-slo-p99ms 5000 -slo-inacc 12 -slo-rung shed \
 		-json plan.json >plan.txt 2>/dev/null)
@@ -28,9 +28,9 @@ mkdir -p "$TMP/a" "$TMP/b"
 run_plan "$TMP/a"
 OUT="$TMP/a/plan.json"
 
-for field in '"command"' '"nodes"' '"rate"' '"service_per_shard"' '"seed"' \
+for field in '"command"' '"nodes"' '"rate"' '"seed"' \
 	'"slo"' '"p99_latency_ms"' '"max_inaccuracy_m"' '"max_rung"' \
-	'"scenarios"' '"grid_shards"' '"grid_z_clamps"' '"grid_policies"' \
+	'"scenarios"' '"grid_capacity"' '"grid_z_clamps"' '"grid_policies"' \
 	'"combos"' '"outcomes"' '"z_clamp"' '"policy"' '"mean_inaccuracy_m"' \
 	'"result_hash"' '"feasible"' '"recommended"' '"verified"'; do
 	grep -q "$field" "$OUT" || {

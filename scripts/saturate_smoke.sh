@@ -16,7 +16,7 @@ OUT="$TMP/saturate.json"
 go run ./cmd/lirabench -saturate -nodes 200 -satsteps 2 -satbase 50000 \
 	-satslice 80ms -saturatejson "$OUT" 2>"$TMP/progress.log"
 
-for field in '"command"' '"nodes"' '"shards"' '"batch_size"' '"slice_ms"' \
+for field in '"command"' '"nodes"' '"batch_size"' '"slice_ms"' \
 	'"num_cpu"' '"gomaxprocs"' '"steps"' '"knee"' '"paths"' \
 	'"offered_per_sec"' '"achieved_per_sec"' '"efficiency"' \
 	'"p99_evaluate_ms"' '"evals"' '"shed"' '"gc_cycles"' '"gc_pause_ms"' \

@@ -24,7 +24,7 @@ HTTP=127.0.0.1:17403
 echo "-- lirad span tracing + ledger + SLOs --"
 go build -o "$TMP/lirad" ./cmd/lirad
 "$TMP/lirad" -listen 127.0.0.1:17402 -http "$HTTP" -nodes 64 -l 13 \
-	-side 2000 -adapt 1s -eval 100ms -shards 4 -spans \
+	-side 2000 -adapt 1s -eval 100ms -spans \
 	-slo-evalp99 0.05 -slo-inaccuracy 0.5 -slo-rung 1 2>"$TMP/lirad.log" &
 LIRAD_PID=$!
 
